@@ -14,43 +14,14 @@
 //!   `{1/4, 1/3, 2/5}` — nothing in between ever occurs.
 
 use defender_core::model::TupleGame;
-use defender_graph::{properties, GraphBuilder, VertexId};
+use defender_core::solve::support_hint;
+use defender_graph::{properties, GraphBuilder};
 use defender_num::Ratio;
 use std::collections::BTreeMap;
 
 use crate::Table;
 
 const N: usize = 5;
-
-/// Warm-start hint for the `k = 1` LP: on sparse instances (≤ 6 edges),
-/// find one equilibrium's supports by early-exit support enumeration on
-/// the edge-vertex incidence bimatrix. At `k = 1` the tuple enumeration
-/// order *is* the edge order, so the bimatrix row support doubles as the
-/// LP's tuple support verbatim. Dense instances return `None` (the scan
-/// would cost more than the pivots it saves) and solve cold.
-fn support_hint(game: &TupleGame<'_>) -> Option<(Vec<usize>, Vec<usize>)> {
-    let graph = game.graph();
-    if graph.edge_count() == 0 || graph.edge_count() > 6 {
-        return None;
-    }
-    let incidence: Vec<Vec<Ratio>> = graph
-        .edges()
-        .map(|e| {
-            let ends = graph.endpoints(e);
-            (0..graph.vertex_count())
-                .map(|v| {
-                    if ends.contains(VertexId::new(v)) {
-                        Ratio::ONE
-                    } else {
-                        Ratio::ZERO
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let bimatrix = defender_game::TwoPlayerMatrixGame::zero_sum(incidence);
-    defender_game::first_equilibrium_supports(&bimatrix)
-}
 
 /// Runs the experiment; panics if the extremes are not as predicted.
 pub fn run() {

@@ -15,18 +15,21 @@
 //! Counter determinism is the workspace's load-bearing invariant: merged
 //! sidecar counters must be byte-identical across `--jobs` and `--shards`
 //! and across repeated runs. A naive cache breaks this — run 1 pays the
-//! solve ticks on misses, run 2 pays none. The fix is **delta replay**:
+//! solve ticks on misses, run 2 pays none. The fix is **delta replay**
+//! through one primitive, the counting scope [`defender_obs::captured`]:
 //!
-//! - on a miss the canonical solve runs inside [`defender_obs::captured`],
-//!   so its counter ticks are diverted into a per-class delta vector and
-//!   stored with the entry;
+//! - on a miss the canonical solve runs inside a scope, so its counter
+//!   ticks — its pool workers' included — are collected into a per-class
+//!   delta vector and stored with the entry. A scope counts whether or
+//!   not instrumentation is on, so a memo filled by an uninstrumented run
+//!   stores the same deltas as an instrumented one;
 //! - *every* lookup — hit or miss — replays the class deltas exactly once
 //!   via [`defender_obs::replay_counters`].
 //!
 //! Cache *bookkeeping* — computing the canonical key, materializing the
-//! canonical graph and game on a miss — runs under
-//! [`defender_obs::suppressed`] (or counter-free paths) instead: the
-//! caller already built and counted its own graph and game, so the
+//! canonical graph on a miss, re-verifying a disk entry — runs on
+//! counter-free paths or inside a scope whose deltas are thrown away:
+//! the caller already built and counted its own graph and game, so the
 //! bookkeeping copies must tick nothing. A `--cache` run's judged
 //! counters therefore match an uncached run's, not just other cached
 //! runs.
@@ -43,10 +46,10 @@
 //! from disk are untrusted: the first time one is used, its claimed
 //! equilibrium is re-verified through the exact Nash verifier
 //! ([`defender_core::exhaustive::GameAdapter::verify`]) on the canonical
-//! game (under [`defender_obs::suppressed`], so verification never
-//! perturbs counters). A stale or hand-edited entry that fails
-//! verification is recomputed and overwritten — the cache can serve a
-//! wrong answer to no one.
+//! game (in a discarded counting scope, so verification never perturbs
+//! counters). A stale or hand-edited entry that fails verification is
+//! recomputed and overwritten — the cache can serve a wrong answer to no
+//! one.
 //!
 //! # Examples
 //!
@@ -259,8 +262,8 @@ impl EquilibriumCache {
     ///
     /// `hint` receives the **canonical** game (the one actually solved)
     /// and may return `(tuple_support, vertex_support)` index sets — the
-    /// contract of [`solve_exact_hinted`]. It runs inside the captured
-    /// counter region, so any counters it ticks become part of the
+    /// contract of [`solve_exact_hinted`]. It runs inside the solve's
+    /// counting scope, so any counters it ticks become part of the
     /// class's replayed deltas.
     ///
     /// # Errors
@@ -296,13 +299,13 @@ impl EquilibriumCache {
         }
 
         obs::counter!("cache.misses").incr();
-        // Materializing the canonical graph and game is cache
-        // bookkeeping, not solve work: the caller already built (and
-        // counted) its own graph and game for this instance. Suppress it
-        // so a `--cache` run's `graph.build.*` totals match an uncached
-        // run instead of double-counting one build per class replay.
-        let canonical_graph = obs::suppressed(|| form.to_graph());
-        let canonical_game = obs::suppressed(|| TupleGame::new(&canonical_graph, k, nu))?;
+        // Materializing the canonical graph is cache bookkeeping, not
+        // solve work: the caller already built (and counted) its own
+        // graph for this instance. Its ticks go to a discarded scope so a
+        // `--cache` run's `graph.build.*` totals match an uncached run
+        // instead of double-counting one build per class replay.
+        let (canonical_graph, _) = obs::captured(|| form.to_graph());
+        let canonical_game = TupleGame::new(&canonical_graph, k, nu)?;
         let (solved, deltas) = obs::captured(|| {
             let supports = hint(&canonical_game);
             let hint_refs = supports
@@ -383,7 +386,8 @@ impl EquilibriumCache {
     fn usable_entry(&self, key: &CacheKey, tuple_limit: usize) -> Option<CacheEntry> {
         let mut entry = self.guard().get(key).cloned()?;
         if !entry.verified {
-            if !obs::suppressed(|| verify_entry(&entry, key, tuple_limit)) {
+            let (verified, _) = obs::captured(|| verify_entry(&entry, key, tuple_limit));
+            if !verified {
                 return None;
             }
             entry.verified = true;
@@ -476,8 +480,8 @@ fn materialize(
 
 /// Re-proves a (disk-loaded, untrusted) entry on its canonical game:
 /// the claimed configuration must be an exact Nash equilibrium and its
-/// tuple-player payoff must match the claimed value. Runs suppressed at
-/// every call site so it cannot perturb counters.
+/// tuple-player payoff must match the claimed value. Runs in a discarded
+/// counting scope so it cannot perturb counters.
 fn verify_entry(entry: &CacheEntry, key: &CacheKey, tuple_limit: usize) -> bool {
     let (graph6, k, nu) = key;
     let Ok(canonical_graph) = from_graph6(graph6) else {
@@ -678,7 +682,6 @@ mod tests {
     use defender_core::solve::solve_exact;
     use defender_graph::generators;
     use defender_num::rng::{Rng, StdRng};
-    use defender_obs::snapshot;
 
     const LIMIT: usize = 100_000;
 
@@ -745,9 +748,26 @@ mod tests {
         assert!(values.windows(2).all(|w| w[0] == w[1]));
     }
 
+    /// The deltas `f` ticks, measured in a counting scope, minus the
+    /// run-variant `cache.*` bookkeeping and zero ticks.
+    fn judged(f: &dyn Fn()) -> Vec<(String, u64)> {
+        let ((), deltas) = obs::captured(f);
+        deltas
+            .into_iter()
+            .filter(|(name, v)| !name.starts_with("cache.") && *v > 0)
+            .collect()
+    }
+
+    /// One counter of a scope's deltas (0 when it never ticked).
+    fn delta(deltas: &[(String, u64)], name: &str) -> u64 {
+        deltas
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
     #[test]
     fn replayed_counters_make_hits_and_misses_indistinguishable() {
-        obs::enable();
         let graph = generators::cycle(5);
         let game = TupleGame::new(&graph, 1, 1).unwrap();
 
@@ -761,24 +781,8 @@ mod tests {
             cache.solve(&game, LIMIT).unwrap();
         };
 
-        let jobs_counters = |f: &dyn Fn()| -> Vec<(String, u64)> {
-            let before = snapshot();
-            f();
-            let after = snapshot();
-            after
-                .counters
-                .into_iter()
-                .filter(|(name, _)| !name.starts_with("cache."))
-                .map(|(name, v)| {
-                    let prior = before.counter(&name).unwrap_or(0);
-                    (name, v - prior)
-                })
-                .filter(|(_, v)| *v > 0)
-                .collect()
-        };
-
-        let one = jobs_counters(&solve_once);
-        let two = jobs_counters(&solve_twice);
+        let one = judged(&solve_once);
+        let two = judged(&solve_twice);
         let doubled: Vec<(String, u64)> = one.iter().map(|(n, v)| (n.clone(), v * 2)).collect();
         assert_eq!(
             two, doubled,
@@ -789,7 +793,6 @@ mod tests {
 
     #[test]
     fn cached_runs_tick_the_same_judged_counters_as_uncached_runs() {
-        obs::enable();
         // Built from its own canonical form so both paths solve the
         // identical labeling; each closure builds its own game the way
         // an experiment instance loop does, so the judged window covers
@@ -805,20 +808,6 @@ mod tests {
             let cache = EquilibriumCache::in_memory();
             let game = TupleGame::new(&base, 1, 1).unwrap();
             cache.solve(&game, LIMIT).unwrap();
-        };
-        let judged = |f: &dyn Fn()| -> Vec<(String, u64)> {
-            let before = snapshot();
-            f();
-            snapshot()
-                .counters
-                .into_iter()
-                .filter(|(name, _)| !name.starts_with("cache."))
-                .map(|(name, v)| {
-                    let prior = before.counter(&name).unwrap_or(0);
-                    (name, v - prior)
-                })
-                .filter(|(_, v)| *v > 0)
-                .collect()
         };
         assert_eq!(
             judged(&uncached),
@@ -997,19 +986,17 @@ mod tests {
 
     #[test]
     fn probe_hits_without_replaying_and_misses_without_ticking() {
-        obs::enable();
         let graph = generators::cycle(5);
         let game = TupleGame::new(&graph, 1, 1).unwrap();
         let form = canonical_form(&graph);
         let cache = EquilibriumCache::in_memory();
 
         // Cold probe: a miss is silent — no cache.misses tick, no solve.
-        let before = snapshot();
-        assert!(cache.probe(&game, &form, LIMIT).is_none());
-        let after = snapshot();
+        let (cold, deltas) = obs::captured(|| cache.probe(&game, &form, LIMIT));
+        assert!(cold.is_none());
         assert_eq!(
-            after.counter("cache.misses").unwrap_or(0),
-            before.counter("cache.misses").unwrap_or(0),
+            delta(&deltas, "cache.misses"),
+            0,
             "probe misses must not tick cache.misses"
         );
 
@@ -1017,26 +1004,17 @@ mod tests {
 
         // Warm probe: serves the memo, ticks cache.hits, and replays
         // nothing — judged counters (lp.*, solve.*) must stay flat.
-        let before = snapshot();
-        let probed = cache.probe(&game, &form, LIMIT).unwrap();
-        let after = snapshot();
+        let (probed, deltas) = obs::captured(|| cache.probe(&game, &form, LIMIT).unwrap());
         assert_eq!(probed.value, solved.value);
         assert_eq!(probed.defender_gain, solved.defender_gain);
         let adapter = GameAdapter::new(&game, LIMIT).unwrap();
         assert!(adapter.verify(&probed.config).is_equilibrium());
-        assert_eq!(
-            after.counter("cache.hits").unwrap_or(0),
-            before.counter("cache.hits").unwrap_or(0) + 1
-        );
-        for (name, v) in &after.counters {
+        assert_eq!(delta(&deltas, "cache.hits"), 1);
+        for (name, v) in &deltas {
             if name.starts_with("cache.") {
                 continue;
             }
-            assert_eq!(
-                Some(*v),
-                before.counter(name),
-                "probe hit replayed judged counter {name}"
-            );
+            assert_eq!(*v, 0, "probe hit replayed judged counter {name}");
         }
     }
 

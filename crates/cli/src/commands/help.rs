@@ -328,7 +328,9 @@ TELEMETRY:
   Counter determinism survives caching by delta replay: the canonical
   solve's counter ticks are captured into the entry and replayed on
   every lookup (hit or miss), so the sidecar's jobs-invariant counters
-  are byte-identical no matter how warm the cache is. The cache's own
+  are byte-identical no matter how warm the cache is. The capture runs
+  whether or not --metrics is on, so a memo filled by an uninstrumented
+  run replays the same deltas. The cache's own
   run-variant state — cache.hits, cache.misses, cache.canon_ns — lands
   in the sidecar's parallelism section, which `bench diff` never judges.
 

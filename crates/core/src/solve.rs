@@ -114,6 +114,38 @@ pub fn solve_exact_hinted(
     })
 }
 
+/// LP warm start for sparse `k = 1` games, in the shape
+/// [`solve_exact_hinted`] takes: one equilibrium's supports, found by
+/// early-exit support enumeration on the edge-vertex incidence bimatrix.
+/// At `k = 1` the tuple enumeration order *is* the edge order, so the
+/// bimatrix row support doubles as the LP's tuple support verbatim.
+/// Dense (more than 6 edges) or `k > 1` games return `None` — the scan
+/// would cost more than the pivots it saves — and solve cold.
+#[must_use]
+pub fn support_hint(game: &TupleGame<'_>) -> Option<(Vec<usize>, Vec<usize>)> {
+    let graph = game.graph();
+    if game.k() != 1 || graph.edge_count() == 0 || graph.edge_count() > 6 {
+        return None;
+    }
+    let incidence: Vec<Vec<Ratio>> = graph
+        .edges()
+        .map(|e| {
+            let ends = graph.endpoints(e);
+            (0..graph.vertex_count())
+                .map(|v| {
+                    if ends.contains(VertexId::new(v)) {
+                        Ratio::ONE
+                    } else {
+                        Ratio::ZERO
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let bimatrix = defender_game::TwoPlayerMatrixGame::zero_sum(incidence);
+    defender_game::first_equilibrium_supports(&bimatrix)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,30 +72,28 @@ fn pruned_matches_unpruned_on_zero_sum_games() {
     }
 }
 
-fn counter_value(name: &str) -> u64 {
-    defender_obs::snapshot()
-        .counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|&(_, v)| v)
-        .unwrap_or(0)
-}
-
 #[test]
 fn pruning_counters_prove_a_cut_on_duplicate_heavy_games() {
-    // Counter totals are process-global and tests run concurrently, so
-    // only monotone assertions are safe here: run a game guaranteed to
-    // prune (duplicate rows and columns everywhere) and check the skip
-    // counter moved.
-    defender_obs::enable();
-    let skipped_before = counter_value("se.pairs_skipped");
+    // A game guaranteed to prune (duplicate rows and columns everywhere),
+    // measured in a counting scope at one and at four workers: the scope
+    // reaches the pool's workers, so the counts are exact at both widths.
     let ones = vec![vec![Ratio::ONE; 4]; 4];
     let game = TwoPlayerMatrixGame::zero_sum(ones);
-    let eqs = enumerate_equilibria(&game);
-    assert_same_equilibria(&eqs, &enumerate_equilibria_unpruned(&game));
-    let skipped_after = counter_value("se.pairs_skipped");
-    assert!(
-        skipped_after > skipped_before,
-        "all-ones 4x4 game must prune duplicate supports ({skipped_before} -> {skipped_after})"
-    );
+    for jobs in [1, 4] {
+        defender_par::set_jobs(jobs);
+        let (eqs, deltas) = defender_obs::captured(|| enumerate_equilibria(&game));
+        assert_same_equilibria(&eqs, &enumerate_equilibria_unpruned(&game));
+        let delta = |name: &str| {
+            deltas
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        assert_eq!(delta("se.pairs_tested"), 16, "jobs {jobs}");
+        assert_eq!(delta("se.pairs_skipped"), 53, "jobs {jobs}");
+        assert!(
+            deltas.iter().all(|(name, _)| !name.starts_with("par.")),
+            "jobs {jobs}: pool shape stays out of the scope: {deltas:?}"
+        );
+    }
 }

@@ -17,8 +17,11 @@
 //!   JSON document ([`Snapshot::to_json`]; no serde — the build
 //!   environment has no crates.io access, so the whole crate is std-only);
 //! - a global **enable gate**: instrumentation is *off* by default and
-//!   every handle checks one relaxed [`AtomicBool`] load before doing any
-//!   work, so disabled overhead is a branch per call site.
+//!   every handle checks one relaxed atomic load before doing any work,
+//!   so disabled overhead is a branch per call site;
+//! - **counting scopes** ([`captured`]): a region whose counter ticks,
+//!   its pool workers' included, are collected and handed back to the
+//!   caller instead of landing in the global cells, whatever the gate.
 //!
 //! Span-naming convention (see DESIGN.md §Observability): one span per
 //! paper-algorithm step, nested under the algorithm's own span — e.g.
@@ -51,9 +54,9 @@ pub mod json;
 pub mod telemetry;
 pub mod trace;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
 use std::time::{Duration, Instant};
@@ -66,95 +69,96 @@ pub const BUCKETS: usize = 64;
 // Enable gate
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The one word every counter tick reads first. Bit 0 is the [`enable`]
+/// flag; the bits above it count the [`captured`] scopes live on any
+/// thread. Zero — instrumentation off and no scope anywhere — is the
+/// common production state, and a tick that reads it returns at once.
+/// `Relaxed` suffices: the word publishes no other data, and a thread
+/// only relies on the scopes it entered itself, whose increments it
+/// always sees.
+static GATE: AtomicUsize = AtomicUsize::new(0);
+const ENABLED_BIT: usize = 1;
+const SCOPE_UNIT: usize = 2;
 
 /// Turns instrumentation on (process-wide).
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    GATE.fetch_or(ENABLED_BIT, Ordering::Relaxed);
 }
 
 /// Turns instrumentation off; handles become branch-and-return stubs.
+/// Counting scopes ([`captured`]) keep counting.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    GATE.fetch_and(!ENABLED_BIT, Ordering::Relaxed);
 }
 
 /// Whether instrumentation is currently on.
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    GATE.load(Ordering::Relaxed) & ENABLED_BIT != 0
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread counter routing: capture & suppression
+// Counting scopes
 // ---------------------------------------------------------------------------
 
-/// Where this thread's counter increments go. `Normal` hits the global
-/// cells; `Capture` diverts counter deltas into a thread-local map (and
-/// drops gauge/histogram writes, which are not replayable scalars);
-/// `Suppress` drops everything. Both are strictly thread-local: worker
-/// threads of a pool are never affected by the caller's mode, which is
-/// why capture is only sound around code with no internal parallelism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThreadMode {
-    Normal,
-    Capture,
-    Suppress,
-}
+/// The counter ticks of one live scope, keyed by metric name.
+type Ticks = BTreeMap<&'static str, u64>;
 
 thread_local! {
-    static MODE: Cell<ThreadMode> = const { Cell::new(ThreadMode::Normal) };
-    static CAPTURED: RefCell<BTreeMap<String, u64>> = const { RefCell::new(BTreeMap::new()) };
+    /// The innermost counting scope live on this thread, if any.
+    static SCOPE: RefCell<Option<Ticks>> = const { RefCell::new(None) };
 }
 
-/// Restores the previous thread mode even if the wrapped closure panics,
-/// so an experiment assertion inside a captured region cannot leave the
-/// thread silently swallowing counters.
-struct ModeGuard {
-    prior: ThreadMode,
+/// Whether this thread runs inside a [`captured`] scope. `defender-par`
+/// asks before it fans out, so that its workers count into the caller's
+/// scope. With no scope live anywhere the thread-local is never touched.
+#[must_use]
+pub fn in_scope() -> bool {
+    GATE.load(Ordering::Relaxed) >= SCOPE_UNIT && SCOPE.with(|s| s.borrow().is_some())
 }
 
-impl ModeGuard {
-    fn enter(mode: ThreadMode) -> ModeGuard {
-        let prior = MODE.with(Cell::get);
-        MODE.with(|m| m.set(mode));
-        ModeGuard { prior }
-    }
+/// One entered scope. Dropping it — on return or while unwinding —
+/// reinstates the enclosing scope.
+struct Scope {
+    outer: Option<Ticks>,
 }
 
-impl Drop for ModeGuard {
+impl Drop for Scope {
     fn drop(&mut self) {
-        MODE.with(|m| m.set(self.prior));
+        SCOPE.with(|s| *s.borrow_mut() = self.outer.take());
+        GATE.fetch_sub(SCOPE_UNIT, Ordering::Relaxed);
     }
 }
 
-/// Runs `f` with this thread's counter increments diverted into a local
-/// buffer, returning `f`'s result and the sorted `(name, delta)` pairs
-/// recorded while it ran. Gauge and histogram writes inside the region
-/// are dropped (they are not replayable sums). Nested captures compose:
-/// the inner capture sees only its own deltas, and nothing leaks to the
-/// outer buffer or the global cells.
+/// Runs `f` as a **counting scope**: the counter ticks made while it runs
+/// are collected instead of reaching the global cells, and come back with
+/// `f`'s result as name-sorted `(name, delta)` pairs.
 ///
-/// The canonical-solve memoization in `defender-cache` is the intended
-/// customer: it captures the counter cost of solving one canonical
-/// representative, then replays those deltas (via [`replay_counters`])
-/// once per instance on both hits and misses, making the main counter
-/// section independent of cache state.
+/// - A scope counts whether or not [`enable`] ran.
+/// - `defender-par` workers started inside a scope count into it, so the
+///   deltas are the same at every pool width; execution-shape counters
+///   tick through [`Metric::add_unscoped`] and stay out.
+/// - Scopes nest: an inner scope sees only its own ticks, which reach the
+///   outer scope only if replayed ([`replay_counters`]).
+/// - Gauge and histogram writes inside a scope are dropped: they are not
+///   replayable sums.
+///
+/// `defender-cache` solves each class in a scope and replays the stored
+/// deltas on every lookup; dropping the deltas discards bookkeeping that
+/// must not count; tests measure their own work immune to sibling tests.
 pub fn captured<T>(f: impl FnOnce() -> T) -> (T, Vec<(String, u64)>) {
-    let guard = ModeGuard::enter(ThreadMode::Capture);
-    let prior_map = CAPTURED.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    GATE.fetch_add(SCOPE_UNIT, Ordering::Relaxed);
+    let scope = Scope {
+        outer: SCOPE.with(|s| s.replace(Some(Ticks::new()))),
+    };
     let result = f();
-    let deltas = CAPTURED.with(|c| std::mem::replace(&mut *c.borrow_mut(), prior_map));
-    drop(guard);
-    (result, deltas.into_iter().collect())
-}
-
-/// Runs `f` with every counter, gauge, and histogram write on this
-/// thread dropped. Spans and traces still record (wall time is never
-/// judged for determinism). Used for re-verification of cached results,
-/// whose cost must not perturb the counters of the run being measured.
-pub fn suppressed<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = ModeGuard::enter(ThreadMode::Suppress);
-    f()
+    let ticks = SCOPE.with(|s| s.borrow_mut().take()).unwrap_or_default();
+    drop(scope);
+    let deltas = ticks
+        .into_iter()
+        .map(|(name, delta)| (name.to_owned(), delta))
+        .collect();
+    (result, deltas)
 }
 
 /// A counter handle resolved from a runtime name, memoized process-wide
@@ -176,9 +180,13 @@ pub fn counter_by_name(name: &str) -> &'static Metric {
     }
 }
 
-/// Adds each `(name, delta)` pair to the matching global counter —
-/// the replay half of a [`captured`] region.
+/// Adds each `(name, delta)` pair to the matching counter — the replay
+/// half of a [`captured`] scope. Inside another scope the deltas land in
+/// that scope.
 pub fn replay_counters(deltas: &[(String, u64)]) {
+    if GATE.load(Ordering::Relaxed) == 0 {
+        return;
+    }
     for (name, delta) in deltas {
         counter_by_name(name).add(*delta);
     }
@@ -237,24 +245,38 @@ impl Metric {
         }
     }
 
-    /// Adds `n` (counters; no-op while disabled). Respects the calling
-    /// thread's [`captured`]/[`suppressed`] mode.
+    /// Adds `n` (counters; no-op while disabled). Inside a [`captured`]
+    /// scope the tick goes to the scope instead, even while disabled.
     pub fn add(&'static self, n: u64) {
-        if enabled() {
-            match MODE.with(Cell::get) {
-                ThreadMode::Normal => {
-                    self.ensure_registered();
-                    self.value.fetch_add(n, Ordering::Relaxed);
-                }
-                ThreadMode::Capture => {
+        let gate = GATE.load(Ordering::Relaxed);
+        if gate >= SCOPE_UNIT {
+            let scoped = SCOPE.with(|s| match s.borrow_mut().as_mut() {
+                Some(ticks) => {
                     if self.kind == Kind::Counter {
-                        CAPTURED.with(|c| {
-                            *c.borrow_mut().entry(self.name.to_string()).or_insert(0) += n;
-                        });
+                        *ticks.entry(self.name).or_insert(0) += n;
                     }
+                    true
                 }
-                ThreadMode::Suppress => {}
+                None => false,
+            });
+            if scoped {
+                return;
             }
+        }
+        if gate & ENABLED_BIT != 0 {
+            self.ensure_registered();
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds `n` to the global cell even inside a [`captured`] scope
+    /// (no-op while disabled). For execution-shape counters, such as
+    /// `defender-par`'s per-worker task counts: they vary with the pool
+    /// width, so no scope may collect them.
+    pub fn add_unscoped(&'static self, n: u64) {
+        if enabled() {
+            self.ensure_registered();
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -263,19 +285,19 @@ impl Metric {
         self.add(1);
     }
 
-    /// Overwrites the value (gauges; no-op while disabled or while the
-    /// thread is in a [`captured`]/[`suppressed`] region).
+    /// Overwrites the value (gauges; no-op while disabled or inside a
+    /// [`captured`] scope).
     pub fn set(&'static self, v: u64) {
-        if enabled() && MODE.with(Cell::get) == ThreadMode::Normal {
+        if enabled() && !in_scope() {
             self.ensure_registered();
             self.value.store(v, Ordering::Relaxed);
         }
     }
 
     /// Raises the gauge to `v` if it is below it (no-op while disabled or
-    /// while the thread is in a [`captured`]/[`suppressed`] region).
+    /// inside a [`captured`] scope).
     pub fn set_max(&'static self, v: u64) {
-        if enabled() && MODE.with(Cell::get) == ThreadMode::Normal {
+        if enabled() && !in_scope() {
             self.ensure_registered();
             self.value.fetch_max(v, Ordering::Relaxed);
         }
@@ -358,10 +380,10 @@ impl Histogram {
         }
     }
 
-    /// Records one value (no-op while disabled or while the thread is in
-    /// a [`captured`]/[`suppressed`] region).
+    /// Records one value (no-op while disabled or inside a [`captured`]
+    /// scope).
     pub fn record(&'static self, v: u64) {
-        if enabled() && MODE.with(Cell::get) == ThreadMode::Normal {
+        if enabled() && !in_scope() {
             self.ensure_registered();
             self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);
@@ -1076,20 +1098,56 @@ mod tests {
     }
 
     #[test]
-    fn suppressed_drops_everything_and_restores_mode() {
+    fn captured_counts_whatever_the_gate() {
+        let _guard = lock();
+        reset();
+        disable();
+        let c = counter!("test.scope.gated");
+        let ((), deltas) = captured(|| c.add(4));
+        assert_eq!(deltas, vec![("test.scope.gated".to_string(), 4)]);
+        assert_eq!(c.get(), 0, "a scope never reaches the global cell");
+        replay_counters(&deltas);
+        assert_eq!(c.get(), 0, "replay outside a scope obeys the gate");
+        let ((), outer) = captured(|| replay_counters(&deltas));
+        assert_eq!(outer, deltas, "replay inside a scope lands in it");
+        assert!(!in_scope(), "the scope ends with its closure");
+        reset();
+    }
+
+    #[test]
+    fn add_unscoped_bypasses_the_scope() {
         let _guard = lock();
         reset();
         enable();
-        let c = counter!("test.suppress.cell");
-        suppressed(|| {
-            c.add(100);
-            gauge!("test.suppress.gauge").set_max(5);
-            histogram!("test.suppress.hist").record(2);
+        let shape = counter!("test.scope.shape");
+        let ((), deltas) = captured(|| {
+            assert!(in_scope());
+            shape.add_unscoped(3);
         });
-        assert_eq!(c.get(), 0);
-        c.incr();
-        assert_eq!(c.get(), 1, "normal routing resumes after the region");
+        assert!(deltas.is_empty(), "{deltas:?}");
+        assert_eq!(shape.get(), 3);
         disable();
+        reset();
+    }
+
+    #[test]
+    fn a_panicking_scope_restores_the_enclosing_one() {
+        let _guard = lock();
+        reset();
+        let c = counter!("test.scope.unwind");
+        let ((), outer) = captured(|| {
+            c.add(1);
+            let result = std::panic::catch_unwind(|| {
+                captured(|| {
+                    c.add(100);
+                    panic!("inside the inner scope");
+                })
+            });
+            assert!(result.is_err());
+            c.add(2);
+        });
+        assert_eq!(outer, vec![("test.scope.unwind".to_string(), 3)]);
+        assert!(!in_scope());
         reset();
     }
 

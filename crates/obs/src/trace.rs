@@ -11,10 +11,11 @@
 //! - **off by default**: one relaxed [`AtomicBool`] load per call site
 //!   while disabled, just like the metrics gate — and an independent gate,
 //!   so `--trace` and `--metrics` compose freely;
-//! - **no blocking on the hot path**: every thread owns its own ring
-//!   buffer and reaches it through a `try_lock` that only an exporter can
-//!   ever contend, so the recording thread never waits — a contended
-//!   event is *dropped and counted*, never a stall;
+//! - **no lost events**: every thread owns its own ring buffer, whose
+//!   lock only an exporter copying the ring can contend, so a recording
+//!   thread waits at most for one copy and keeps every event — a live
+//!   reader such as the `--profile` heartbeat cannot unbalance the
+//!   timeline;
 //! - **bounded memory**: each ring holds at most [`capacity`] events;
 //!   overflow drops the *oldest* event and increments the buffer's drop
 //!   counter, so a long run degrades into "the most recent window" rather
@@ -119,9 +120,6 @@ impl Ring {
 struct ThreadBuffer {
     tid: u64,
     ring: Mutex<Ring>,
-    /// Events dropped because an exporter held the ring lock at record
-    /// time (the owner thread never blocks — see module docs).
-    contended: AtomicU64,
     /// Human-readable lane name (empty = unnamed); exported as a Chrome
     /// `thread_name` metadata event and surfaced by [`snapshot_threads`].
     label: Mutex<String>,
@@ -153,7 +151,6 @@ fn with_local_buffer(f: impl FnOnce(&ThreadBuffer)) {
             let buffer = Arc::new(ThreadBuffer {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
                 ring: Mutex::new(Ring::default()),
-                contended: AtomicU64::new(0),
                 label: Mutex::new(String::new()),
             });
             registry()
@@ -214,7 +211,6 @@ pub fn clear() {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         ring.events.clear();
         ring.dropped = 0;
-        buffer.contended.store(0, Ordering::Relaxed);
         buffer
             .label
             .lock()
@@ -226,15 +222,13 @@ pub fn clear() {
 fn record(kind: EventKind, name: &'static str) {
     let ts_ns = u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX);
     with_local_buffer(|buffer| {
-        // The owning thread is the only writer; the lock is contended only
-        // while an exporter reads. Never block the traced workload: drop
-        // the event, count the drop.
-        match buffer.ring.try_lock() {
-            Ok(mut ring) => ring.push(Event { ts_ns, kind, name }, capacity()),
-            Err(_) => {
-                buffer.contended.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        // The owning thread is the only writer; an exporter holds the
+        // lock only while it copies the ring, so the wait is short.
+        buffer
+            .ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(Event { ts_ns, kind, name }, capacity());
     });
 }
 
@@ -299,8 +293,8 @@ pub fn instant(name: &'static str) {
     }
 }
 
-/// Total events dropped so far (ring overflow + exporter contention),
-/// summed over every thread.
+/// Total events dropped so far by ring overflow, summed over every
+/// thread.
 #[must_use]
 pub fn dropped_events() -> u64 {
     registry()
@@ -308,11 +302,10 @@ pub fn dropped_events() -> u64 {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .iter()
         .map(|b| {
-            let ring = b
-                .ring
+            b.ring
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.dropped + b.contended.load(Ordering::Relaxed)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .dropped
         })
         .sum()
 }
@@ -347,7 +340,7 @@ pub struct ThreadSnapshot {
     pub label: String,
     /// Buffered events in recording order.
     pub events: Vec<Event>,
-    /// Events this thread dropped (ring overflow + exporter contention).
+    /// Events this thread dropped by ring overflow.
     pub dropped: u64,
 }
 
@@ -377,7 +370,7 @@ pub fn snapshot_threads() -> Vec<ThreadSnapshot> {
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .clone(),
                 events: ring.events.iter().cloned().collect(),
-                dropped: ring.dropped + buffer.contended.load(Ordering::Relaxed),
+                dropped: ring.dropped,
             }
         })
         .collect();
@@ -427,7 +420,7 @@ pub fn chrome_trace_json() -> String {
             .ring
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        total_dropped += ring.dropped + buffer.contended.load(Ordering::Relaxed);
+        total_dropped += ring.dropped;
         let label = buffer
             .label
             .lock()

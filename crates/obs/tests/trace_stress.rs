@@ -87,8 +87,8 @@ fn concurrent_export_under_load_never_corrupts_the_document() {
         })
         .collect();
 
-    // Export repeatedly while writers hammer their rings: the owner-side
-    // try_lock must degrade to counted drops, never to a torn document.
+    // Export repeatedly while writers hammer their rings: writers wait
+    // out each copy, and no export is ever a torn document.
     let exporter = {
         let done = Arc::clone(&done);
         let barrier = Arc::clone(&barrier);

@@ -25,13 +25,17 @@
 //! - **observability**: each `par_map` records the configured width in the
 //!   `par.jobs` gauge and per-worker task counts in `par.tasks.w<i>`
 //!   counters, and every worker wraps its task loop in a `par.worker`
-//!   span, so `--trace` timelines show one balanced lane per worker.
+//!   span, so `--trace` timelines show one balanced lane per worker;
+//! - **counting scopes**: called inside [`defender_obs::captured`], the
+//!   workers count their tasks' ticks into the caller's scope, so the
+//!   scope returns the same deltas at every width.
 //!
 //! The `par.*` namespace is an **execution-shape record**, not algorithm
 //! work: it legitimately differs between `--jobs 1` and `--jobs 4` (and,
-//! for the per-worker split, between two runs at the same width). Consumers
-//! that promise jobs-invariant output — the `BENCH_*.json` sidecars —
-//! segregate it from the deterministic counter registry.
+//! for the per-worker split, between two runs at the same width). It
+//! therefore never enters a counting scope, and consumers that promise
+//! jobs-invariant output — the `BENCH_*.json` sidecars — segregate it
+//! from the deterministic counter registry.
 //!
 //! # Examples
 //!
@@ -125,9 +129,12 @@ where
     let width = if is_worker() { 1 } else { jobs().min(n.max(1)) };
     defender_obs::gauge!("par.jobs").set(jobs() as u64);
     if width <= 1 {
-        task_counter(0).add(n as u64);
+        task_counter(0).add_unscoped(n as u64);
         return (0..n).map(f).collect();
     }
+    // A caller inside a counting scope lends it to the workers: each
+    // counts into a scope of its own, and the caller replays the deltas.
+    let inherit = defender_obs::in_scope();
     let cursor = AtomicUsize::new(0);
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..width)
@@ -144,17 +151,25 @@ where
                         defender_obs::trace::set_thread_label(&format!("w{worker}"));
                     }
                     let _lane = defender_obs::span!("par.worker");
-                    let mut out = Vec::new();
-                    loop {
-                        // lint: allow(ordering) atomic RMW claims each index once; results join at thread exit
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+                    let claim = || {
+                        let mut out = Vec::new();
+                        loop {
+                            // lint: allow(ordering) atomic RMW claims each index once; results join at thread exit
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            out.push((i, f(i)));
                         }
-                        out.push((i, f(i)));
-                    }
-                    task_counter(worker).add(out.len() as u64);
-                    out
+                        out
+                    };
+                    let (out, deltas) = if inherit {
+                        defender_obs::captured(claim)
+                    } else {
+                        (claim(), Vec::new())
+                    };
+                    task_counter(worker).add_unscoped(out.len() as u64);
+                    (out, deltas)
                 })
             })
             .collect();
@@ -162,7 +177,10 @@ where
         let mut first_panic = None;
         for handle in handles {
             match handle.join() {
-                Ok(part) => parts.push(part),
+                Ok((part, deltas)) => {
+                    defender_obs::replay_counters(&deltas);
+                    parts.push(part);
+                }
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
@@ -330,6 +348,28 @@ mod tests {
             .map(|s| s.label)
             .collect();
         assert!(labels.is_empty(), "clear() forgets the labels");
+    }
+
+    #[test]
+    fn counting_scopes_reach_the_workers_but_not_the_shape() {
+        let _guard = lock();
+        for width in [1, 4] {
+            set_jobs(width);
+            let (done, deltas) = defender_obs::captured(|| {
+                par_for_indexed(40, |i| {
+                    defender_obs::counter!("test.par.ticks").add(2);
+                    i
+                })
+                .len()
+            });
+            assert_eq!(done, 40);
+            assert_eq!(
+                deltas,
+                vec![("test.par.ticks".to_string(), 80)],
+                "width {width}: every worker tick, and no par.* name"
+            );
+        }
+        set_jobs(1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct Profile {
     pub duration_ns: u64,
     /// Number of lanes (threads) carrying events.
     pub lanes: usize,
-    /// Events lost to ring overflow or exporter contention.
+    /// Events lost to ring overflow.
     pub dropped_events: u64,
     /// Spans still open at the end of the trace, closed at `duration_ns`.
     pub unclosed: u64,

@@ -32,7 +32,7 @@ pub struct Lane {
 pub struct TraceInput {
     /// Per-thread timelines, sorted by tid.
     pub lanes: Vec<Lane>,
-    /// Events lost to ring overflow or exporter contention.
+    /// Events lost to ring overflow.
     pub dropped_events: u64,
     /// "Now" in epoch nanoseconds for a live harvest (used to close
     /// still-open spans); `None` for saved traces, where the latest

@@ -60,6 +60,6 @@ mod sidecar;
 
 pub use analyze::{PathAgg, Profile, SpanAgg, WorkerStat};
 pub use input::{Lane, LaneEvent, TraceInput};
-pub use progress::Progress;
+pub use progress::{eta_seconds, rate_per_sec, Progress};
 pub use render::{format_ns, to_json, to_table};
 pub use sidecar::sidecar_json;

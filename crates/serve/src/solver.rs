@@ -42,11 +42,10 @@ use std::time::Duration;
 
 use defender_cache::{CacheKey, EquilibriumCache};
 use defender_core::model::TupleGame;
-use defender_core::solve::ExactEquilibrium;
+use defender_core::solve::{support_hint, ExactEquilibrium};
 use defender_graph::canonical::canonical_form;
 use defender_graph::graph6::from_graph6;
-use defender_graph::{Graph, VertexId};
-use defender_num::Ratio;
+use defender_graph::Graph;
 use defender_obs as obs;
 
 use crate::api::CacheStatus;
@@ -391,17 +390,17 @@ impl Drop for Solver {
 
 /// Solves one canonical class through the memo. The canonical graph is
 /// rebuilt from the key's graph6 (canonicalization is idempotent, so the
-/// cache stores under the same key); the rebuild runs suppressed — it is
-/// cache bookkeeping, and the solve's own ticks are captured and stored
-/// as the class's judged deltas by the cache layer.
+/// cache stores under the same key). The rebuild ticks only the live
+/// `graph.build.*` counters; the solve's own ticks are captured and
+/// stored as the class's judged deltas by the cache layer.
 fn solve_class(cache: &EquilibriumCache, key: &CacheKey) -> Result<(), HttpError> {
     let (graph6, k, nu) = key;
-    let graph = obs::suppressed(|| from_graph6(graph6)).map_err(|e| HttpError {
+    let graph = from_graph6(graph6).map_err(|e| HttpError {
         status: 500,
         kind: "Internal",
         message: format!("canonical key failed to decode: {e}"),
     })?;
-    let game = obs::suppressed(|| TupleGame::new(&graph, *k, *nu)).map_err(|e| HttpError {
+    let game = TupleGame::new(&graph, *k, *nu).map_err(|e| HttpError {
         status: 422,
         kind: "BadGame",
         message: e.to_string(),
@@ -414,34 +413,6 @@ fn solve_class(cache: &EquilibriumCache, key: &CacheKey) -> Result<(), HttpError
             kind: "Unsolvable",
             message: e.to_string(),
         })
-}
-
-/// LP warm start for sparse `k = 1` classes: early-exit support
-/// enumeration on the edge-vertex incidence bimatrix (at `k = 1` the
-/// tuple order is the edge order, so the row support doubles as the
-/// LP's tuple support). Dense or `k > 1` classes solve cold.
-fn support_hint(game: &TupleGame<'_>) -> Option<(Vec<usize>, Vec<usize>)> {
-    let graph = game.graph();
-    if game.k() != 1 || graph.edge_count() == 0 || graph.edge_count() > 6 {
-        return None;
-    }
-    let incidence: Vec<Vec<Ratio>> = graph
-        .edges()
-        .map(|e| {
-            let ends = graph.endpoints(e);
-            (0..graph.vertex_count())
-                .map(|v| {
-                    if ends.contains(VertexId::new(v)) {
-                        Ratio::ONE
-                    } else {
-                        Ratio::ZERO
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let bimatrix = defender_game::TwoPlayerMatrixGame::zero_sum(incidence);
-    defender_game::first_equilibrium_supports(&bimatrix)
 }
 
 /// Builds the game for a request graph (422 on shape errors).
@@ -457,50 +428,6 @@ pub fn request_game<'g>(graph: &'g Graph, k: usize, nu: usize) -> Result<TupleGa
 mod tests {
     use super::*;
     use defender_graph::generators;
-
-    #[test]
-    fn coalesces_concurrent_identical_classes_into_one_solve() {
-        obs::enable();
-        let cache = Arc::new(EquilibriumCache::in_memory());
-        let solver = Solver::start(
-            Arc::clone(&cache),
-            SolverConfig {
-                batch_window: Duration::from_millis(30),
-                ..SolverConfig::default()
-            },
-        );
-
-        let before = obs::snapshot();
-        const M: usize = 8;
-        let statuses: Vec<CacheStatus> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..M)
-                .map(|_| {
-                    let solver = &solver;
-                    scope.spawn(move || {
-                        let graph = generators::petersen();
-                        let game = TupleGame::new(&graph, 1, 1).unwrap();
-                        solver.solve(&game).unwrap().status
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let after = obs::snapshot();
-
-        // One solve for all M requests: exactly one cache miss...
-        assert_eq!(
-            after.counter("cache.misses").unwrap_or(0),
-            before.counter("cache.misses").unwrap_or(0) + 1,
-            "M concurrent identical-class requests must coalesce to one solve"
-        );
-        // ...and every request either led the miss or coalesced onto it
-        // (a racer arriving after the solve resolves probes a hit).
-        let misses = statuses.iter().filter(|s| **s == CacheStatus::Miss).count();
-        assert_eq!(misses, 1, "statuses: {statuses:?}");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(solver.served_classes(), 1);
-        solver.shutdown();
-    }
 
     #[test]
     fn sheds_new_classes_past_the_watermark_while_serving_hits() {
@@ -566,7 +493,6 @@ mod tests {
 
     #[test]
     fn judged_counters_are_warmth_invariant_per_served_class_set() {
-        obs::enable();
         let cache = Arc::new(EquilibriumCache::in_memory());
         let graphs = [generators::cycle(5), generators::petersen()];
 
@@ -581,17 +507,17 @@ mod tests {
 
         // Warm server over the same cache: all hits, zero live lp work…
         let solver = Solver::start(Arc::clone(&cache), SolverConfig::default());
-        let before = obs::snapshot();
-        for graph in &graphs {
-            let game = TupleGame::new(graph, 1, 1).unwrap();
-            assert_eq!(solver.solve(&game).unwrap().status, CacheStatus::Hit);
-        }
-        let after = obs::snapshot();
-        assert_eq!(
-            after.counter("lp.simplex.pivots").unwrap_or(0),
-            before.counter("lp.simplex.pivots").unwrap_or(0),
-            "warm serving must be solve-free"
-        );
+        let ((), deltas) = obs::captured(|| {
+            for graph in &graphs {
+                let game = TupleGame::new(graph, 1, 1).unwrap();
+                assert_eq!(solver.solve(&game).unwrap().status, CacheStatus::Hit);
+            }
+        });
+        let pivots = deltas
+            .iter()
+            .find(|(name, _)| name == "lp.simplex.pivots")
+            .map_or(0, |&(_, v)| v);
+        assert_eq!(pivots, 0, "warm serving must be solve-free");
         // …and byte-identical judged counters.
         assert_eq!(solver.judged_counters(), cold);
         assert!(!cold.is_empty());

@@ -1,7 +1,7 @@
 //! End-to-end tests over real loopback TCP: request routing, the typed
 //! error taxonomy on the wire, adversarial framing (split segments,
-//! pipelining, early disconnects), coalescing under concurrency, and
-//! cache persistence across server generations.
+//! pipelining, early disconnects), and cache persistence across server
+//! generations. Coalescing under concurrency is in `coalescing.rs`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -263,52 +263,6 @@ fn early_disconnects_leave_the_server_healthy() {
     assert_eq!(response.status, 200);
     let response = client.solve(&c5_body()).expect("solve after abuse");
     assert_eq!(response.status, 200);
-}
-
-#[test]
-fn concurrent_identical_requests_coalesce_to_one_cache_miss() {
-    defender_obs::enable();
-    let server = test_server(ServeConfig {
-        // A generous window so every racer lands while the class is
-        // still in flight.
-        batch_window: Duration::from_millis(100),
-        ..ServeConfig::default()
-    });
-    let before = defender_obs::snapshot();
-
-    const M: usize = 8;
-    // Petersen: heavy enough that the solve outlasts request fan-in.
-    let body = petersen_body();
-    let statuses: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..M)
-            .map(|_| {
-                let (server, body) = (&server, body.as_str());
-                scope.spawn(move || {
-                    let mut client = connect(server);
-                    let response = client.solve(body).expect("solve");
-                    assert_eq!(response.status, 200);
-                    let doc = parse(&response.body);
-                    str_of(&doc, "cache").to_owned()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
-    });
-    let after = defender_obs::snapshot();
-
-    assert_eq!(
-        after.counter("cache.misses").unwrap_or(0) - before.counter("cache.misses").unwrap_or(0),
-        1,
-        "M concurrent identical requests must cost one solve; statuses: {statuses:?}"
-    );
-    assert_eq!(
-        statuses.iter().filter(|s| s.as_str() == "miss").count(),
-        1,
-        "exactly one request leads the class: {statuses:?}"
-    );
 }
 
 #[test]

@@ -14,6 +14,8 @@
 
 use std::time::{Duration, Instant};
 
+use defender_profile::{eta_seconds, rate_per_sec};
+
 use crate::protocol::ShardEvent;
 
 /// Lifecycle of one shard as seen by the parent.
@@ -89,27 +91,6 @@ impl ShardView {
             last_heard: None,
         }
     }
-}
-
-/// Instance completion rate in instances/second, clamping the elapsed
-/// time to one nanosecond so a first instance finishing "instantly"
-/// cannot divide by zero.
-#[must_use]
-pub fn rate_per_sec(done: u64, elapsed_ns: u64) -> f64 {
-    done as f64 / (elapsed_ns.max(1) as f64 / 1e9)
-}
-
-/// Estimated seconds to completion, `None` until the first instance
-/// lands (no rate to extrapolate from) and zero once `done >= total`.
-#[must_use]
-pub fn eta_seconds(done: u64, total: u64, elapsed_ns: u64) -> Option<f64> {
-    if done == 0 {
-        return None;
-    }
-    if done >= total {
-        return Some(0.0);
-    }
-    Some((total - done) as f64 / rate_per_sec(done, elapsed_ns))
 }
 
 /// Compact human duration for the dashboard (`850ms`, `12.3s`, `4m07s`).
@@ -360,22 +341,6 @@ mod tests {
             total,
             elapsed_ns,
         }
-    }
-
-    #[test]
-    fn rate_and_eta_clamp_the_boundaries() {
-        // First instance at elapsed 0: clamped, no divide-by-zero.
-        assert!(rate_per_sec(1, 0).is_finite());
-        assert_eq!(eta_seconds(0, 10, 0), None, "no rate before any instance");
-        assert_eq!(eta_seconds(10, 10, 5_000), Some(0.0), "finished");
-        assert_eq!(
-            eta_seconds(12, 10, 5_000),
-            Some(0.0),
-            "over-counted still 0"
-        );
-        // Halfway through at 2s elapsed: 2s remain.
-        let eta = eta_seconds(5, 10, 2_000_000_000).unwrap();
-        assert!((eta - 2.0).abs() < 1e-9, "{eta}");
     }
 
     #[test]
