@@ -16,15 +16,23 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== perfbench build and tests =="
+# The benchmark package lives outside the workspace and builds against
+# its crates by path with its own lockfile. A manifest or API change can
+# break that build or force a rewrite of perfbench/Cargo.lock (which
+# --locked refuses), so catch it here rather than at benchmark time.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "== defender lint =="
 # Workspace static analysis (exactness, determinism, panic-freedom,
-# concurrency discipline, exact-path panic/cast gating, unsafe/dependency
-# audits, suppression ageing, metric-registry audit — see DESIGN.md §12
-# and §17). Hard gate: an unregistered counter, an un-annotated library
-# unwrap, or a stale allow fails CI before the bench gates run. The
-# --sidecar counters then diff against the committed baseline so even a
-# silent change in what the linter *sees* (files scanned, finding mix)
-# is a reviewed event.
+# exact-path panic/cast gating, the Cargo.lock and manifest-lints deps
+# check, suppression ageing, metric-registry audit — see DESIGN.md §12
+# and §17; `unsafe` is the compiler's job, via the workspace lint table).
+# Hard gate: an unregistered counter, an un-annotated library unwrap, a
+# registry package in Cargo.lock, or a stale allow fails CI before the
+# bench gates run. The --sidecar counters then diff against the committed
+# baseline so even a silent change in what the linter *sees* (files
+# scanned, annotation count, finding mix) is a reviewed event.
 LINT_DIR="$(mktemp -d)"
 (cd "$LINT_DIR" && "$OLDPWD"/target/release/defender lint --root "$OLDPWD" --sidecar)
 target/release/defender bench diff \

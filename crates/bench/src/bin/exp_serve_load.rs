@@ -314,7 +314,6 @@ fn run_load(options: &Options) -> Result<(), String> {
     let samples = Mutex::new(Vec::with_capacity(planned.len()));
     let errors = Mutex::new(Vec::new());
     let started = Instant::now();
-    // lint: allow(spawn) load-generator clients; joined by scope exit
     std::thread::scope(|scope| {
         for worker in 0..options.clients {
             let planned = &planned;
@@ -538,7 +537,6 @@ fn run_overload(options: &Options) -> Result<(), String> {
     let per_client = options.requests.div_ceil(options.clients).max(1);
     let shed = Mutex::new(0usize);
     let failures = Mutex::new(Vec::new());
-    // lint: allow(spawn) load-generator clients; joined by scope exit
     std::thread::scope(|scope| {
         for worker in 0..options.clients {
             let shed = &shed;

@@ -176,7 +176,6 @@ fn spawn_heartbeat() -> HeartbeatHandle {
     let start = std::time::Instant::now();
     let stop = std::sync::Arc::new(AtomicBool::new(false));
     let stop_flag = std::sync::Arc::clone(&stop);
-    // lint: allow(spawn) telemetry heartbeat; joined by HeartbeatHandle::stop
     let thread = std::thread::Builder::new()
         .name("telemetry-hb".to_string())
         .spawn(move || {

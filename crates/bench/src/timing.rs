@@ -1,7 +1,6 @@
 //! Light-weight timing and curve-fitting used by the runtime experiments
-//! and the standalone `benches/` binaries (the build is offline-only, so
-//! there is no external benchmark harness; these helpers feed the printed
-//! scaling tables).
+//! E2, E5 and E6 (the build is offline-only, so there is no external
+//! benchmark harness; these helpers feed the printed scaling tables).
 
 use std::time::{Duration, Instant};
 

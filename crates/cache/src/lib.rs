@@ -67,7 +67,6 @@
 //! assert_eq!(cache.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 use std::collections::BTreeMap;

@@ -27,7 +27,7 @@ USAGE:
   defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]
   defender profile <trace.json> [--format table|json] [--top N] [--sidecar]
   defender sweep <experiment> --shards <N> [--resume <dir>] [options]   (see `defender help sweep`)
-  defender lint [--root <dir>] [--config <file>] [--format text|json] [--sidecar] [--dump-registry]
+  defender lint [--root <dir>] [--format text|json] [--sidecar] [--dump-registry]
   defender serve --addr <HOST:PORT> [--cache <DIR>] [options]          (see `defender help serve`)
   defender help [sweep|cache|serve|lint]
 
@@ -70,9 +70,9 @@ memoizes exact equilibria keyed by the graph's canonical form, so
 isomorphic repeats are free — `defender help cache` has the full story.
 
 `lint` runs the workspace static-analysis pass (exactness, determinism,
-panic-freedom, concurrency discipline, exact-path panic/cast gating,
-unsafe/dependency audits, suppression ageing, metric-registry audit;
-configured by lint.toml) and exits with code 2 on findings —
+panic-freedom, exact-path panic/cast gating, the Cargo.lock and
+manifest-lints deps check, suppression ageing, metric-registry audit;
+scopes built in) and exits with code 2 on findings —
 `defender help lint` has the full story.
 
 `serve` answers equilibrium queries over HTTP, cache-first: isomorphic
@@ -233,16 +233,19 @@ fn print_lint() {
         "defender lint — the workspace static-analysis pass
 
 USAGE:
-  defender lint [--root <dir>] [--config <file>] [--format text|json]
-                [--sidecar] [--dump-registry]
+  defender lint [--root <dir>] [--format text|json] [--sidecar]
+                [--dump-registry]
 
-  Exit codes: 0 clean, 2 findings, 1 usage/I-O error. `--format json`
-  emits the machine-readable report (top-level field order is a pinned
-  contract), `--sidecar` writes BENCH_lint.json (finding counts per
-  rule, bench-diffable), `--dump-registry` regenerates the static part
-  of crates/obs/metrics_registry.txt from source.
+  Exit codes: 0 clean, 2 findings, 1 usage/I-O error. `--root` defaults
+  to the nearest ancestor holding crates/obs/metrics_registry.txt.
+  `--format json` emits the machine-readable report (top-level field
+  order is a pinned contract), `--sidecar` writes BENCH_lint.json
+  (finding counts per rule, files scanned and the annotation count,
+  bench-diffable), `--dump-registry` regenerates the static part of
+  crates/obs/metrics_registry.txt from source.
 
-RULE FAMILIES (scopes and keys in lint.toml; DESIGN.md §12 and §17):
+RULE FAMILIES (scopes are constants in crates/lint/src; DESIGN.md §12
+and §17):
   exactness     no f64/f32 idents or float literals in the equilibrium
                 crates — the paper's guarantees are exact-rational
   determinism   no wall-clock or randomized-hash constructs (Instant,
@@ -256,16 +259,10 @@ RULE FAMILIES (scopes and keys in lint.toml; DESIGN.md §12 and §17):
   cast          narrowing `as` casts: u8..i32 targets anywhere in scope,
                 u64/i64 only in exact-path fns; provably-fitting integer
                 literals are exempt — allow(cast)
-  concurrency   Ordering::Relaxed/SeqCst need a written reason
-                (allow(ordering)) or an ordering_allow listing; argless
-                .lock()/.read()/.write() must recover poisoning via
-                PoisonError::into_inner or carry allow(lock);
-                thread::spawn/scope/Builder confined to spawn_allow
-                crates — allow(spawn) elsewhere
-  unsafe        any `unsafe` token in scope is a finding (the workspace
-                allowlist is empty and CI keeps it so)
-  deps          any non-workspace dependency in any Cargo.toml is a
-                finding — the std-only offline build is enforced
+  deps          a `source =` line in Cargo.lock (a registry or git
+                package) or a member manifest without
+                `[lints] workspace = true` is a finding; that inherited
+                table has rustc forbid `unsafe` in every target
   metrics       counter!/gauge!/histogram!/span! literals cross-checked
                 against the registry, EXPERIMENTS.md and the committed
                 baselines

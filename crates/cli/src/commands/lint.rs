@@ -1,8 +1,7 @@
 //! `defender lint` — the workspace static-analysis pass.
 //!
-//! Thin wrapper over `defender_lint::run`: same flags, same exit codes
-//! (0 clean, 2 findings, 1 error) as the standalone `defender-lint`
-//! binary, so CI can gate on either entry point.
+//! Thin wrapper over `defender_lint::run`, the one entry point of the
+//! linter: exit codes 0 clean, 2 findings, 1 error.
 
 use std::process::ExitCode;
 

@@ -58,7 +58,6 @@
 //! # Ok::<(), defender_core::CoreError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod error;

@@ -27,7 +27,6 @@
 //! assert!(report.is_equilibrium());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod matrix;

@@ -27,7 +27,6 @@
 //! assert!(defender_graph::properties::is_connected(&g));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod bitset;

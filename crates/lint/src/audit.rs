@@ -1,6 +1,5 @@
-//! The audit rule families: **cast** (truncating `as` casts), **unsafe**
-//! (workspace-wide unsafe inventory), and **deps** (the std-only
-//! dependency guarantee).
+//! The audit rule families: **cast** (truncating `as` casts) and **deps**
+//! (the std-only dependency guarantee).
 //!
 //! - **cast** — an `as` cast to a ≤32-bit integer type inside the
 //!   exactness-scoped crates is a finding unless annotated with
@@ -12,27 +11,24 @@
 //!   `i128` accumulators live, so those are the casts that can narrow.
 //!   Casts from an in-range integer literal (`255 as u8`) pass: the
 //!   value is visible and fits.
-//! - **unsafe** — any `unsafe` token in scope is a finding unless the
-//!   file is allowlisted in `lint.toml`. The workspace is
-//!   `#![forbid(unsafe_code)]` everywhere today, so the allowlist is
-//!   empty and this rule pins that state: introducing the first unsafe
-//!   block is a reviewed, config-visible event, not a drive-by.
-//! - **deps** — parses every `Cargo.toml` (the same deliberately small
-//!   TOML subset as `lint.toml`) and flags any `[dependencies]` /
-//!   `[dev-dependencies]` / `[build-dependencies]` /
-//!   `[workspace.dependencies]` entry that is not a workspace-internal
-//!   `path`/`workspace = true` reference. The build must stay std-only
-//!   and offline; a `version = "…"` dependency would not even resolve in
-//!   the build environment, and this turns that from a confusing network
-//!   error into a lint finding with a line number.
+//! - **deps** — two text checks that leave the policy to the tools that
+//!   own it. Cargo writes a `source = …` line into `Cargo.lock` only for
+//!   registry and git packages, so a lockfile without one resolves
+//!   nothing but workspace paths: the build stays std-only and offline.
+//!   And every member manifest must carry `[lints] workspace = true`, so
+//!   the root manifest's `[workspace.lints.rust]` table — where
+//!   `unsafe_code = "forbid"` lives — reaches every target the compiler
+//!   builds.
 
 use std::collections::BTreeSet;
 
-use crate::config::RuleConfig;
 use crate::items::{FnId, ItemIndex};
-use crate::rules::Finding;
+use crate::rules::{in_scope, Finding, EXACT_SCOPE};
 use crate::source::SourceFile;
 use crate::tokenizer::{Token, TokenKind};
+
+/// The lockfile the **deps** rule reads, relative to the workspace root.
+pub(crate) const LOCKFILE: &str = "Cargo.lock";
 
 /// Integer targets always gated in scope: anything could overflow 32 bits.
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
@@ -41,13 +37,8 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 const WIDE_TARGETS: &[&str] = &["u64", "i64"];
 
 /// **cast** — truncating `as` casts in the exactness-scoped crates.
-pub fn check_cast(
-    file: &SourceFile,
-    cfg: &RuleConfig,
-    items: &ItemIndex,
-    exact: &BTreeSet<FnId>,
-) -> Vec<Finding> {
-    if !cfg.applies_to(&file.path) {
+pub fn check_cast(file: &SourceFile, items: &ItemIndex, exact: &BTreeSet<FnId>) -> Vec<Finding> {
+    if !in_scope(&file.path, EXACT_SCOPE) {
         return Vec::new();
     }
     let code: Vec<&Token> = file.code_tokens().map(|(_, t)| t).collect();
@@ -126,180 +117,69 @@ fn literal_fits(text: &str, target: &str) -> bool {
     value <= max
 }
 
-/// **unsafe** — any `unsafe` token in scope is a finding unless the file
-/// is allowlisted (today: nothing is).
-pub fn check_unsafe(file: &SourceFile, cfg: &RuleConfig, items: &ItemIndex) -> Vec<Finding> {
-    if !cfg.applies_to(&file.path) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (_, token) in file.code_tokens() {
-        if !token.is_ident("unsafe") {
-            continue;
-        }
-        let host = items
-            .enclosing_fn(token.line)
-            .map_or(String::new(), |f| format!(" in fn `{}`", f.name));
-        findings.push(Finding::new(
-            "unsafe",
-            &file.path,
-            token.line,
-            format!(
-                "`unsafe`{host}: the workspace is #![forbid(unsafe_code)] everywhere — \
-                 an unsafe block must be allowlisted in lint.toml with its audit trail"
-            ),
-        ));
-    }
-    findings
-}
-
 // ---------------------------------------------------------------------------
 // Dependency audit
 // ---------------------------------------------------------------------------
 
-/// One parsed dependency entry of a `Cargo.toml`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DepEntry {
-    /// The manifest's workspace-relative path.
-    pub manifest: String,
-    /// The dependency name (the key, or the `[dependencies.<name>]`
-    /// header segment).
-    pub name: String,
-    /// 1-based line of the entry.
-    pub line: u32,
-    /// Whether the entry is workspace-internal (`workspace = true` or a
-    /// `path = "…"` table).
-    pub internal: bool,
-}
-
-/// Parses the dependency sections of one `Cargo.toml`. Only the subset
-/// the workspace uses is understood — `name = { workspace = true }`,
-/// `name = { path = "…", … }`, `name = "version"`, and
-/// `[dependencies.<name>]` subsections — which is exactly enough, since
-/// anything fancier is an external dependency and a finding anyway.
+/// **deps** — every `source = …` line of `Cargo.lock` is a finding naming
+/// the package it belongs to.
 #[must_use]
-pub fn parse_manifest_deps(manifest: &str, text: &str) -> Vec<DepEntry> {
-    let mut entries = Vec::new();
-    let mut in_dep_section = false;
-    // A `[dependencies.<name>]` subsection accumulates into this entry
-    // until the next section header.
-    let mut open_subsection: Option<DepEntry> = None;
-    for (i, raw) in text.lines().enumerate() {
-        let line = strip_toml_comment(raw);
+pub fn check_lockfile(text: &str) -> Vec<Finding> {
+    let mut package = "";
+    let mut findings = Vec::new();
+    for (i, line) in text.lines().enumerate() {
         let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[') {
-            if let Some(done) = open_subsection.take() {
-                entries.push(done);
-            }
-            let header = header.trim_end_matches(']').trim();
-            let is_dep_table = |name: &str| {
-                matches!(
-                    name,
-                    "dependencies"
-                        | "dev-dependencies"
-                        | "build-dependencies"
-                        | "workspace.dependencies"
-                )
-            };
-            if is_dep_table(header) {
-                in_dep_section = true;
-            } else if let Some((table, name)) = header.rsplit_once('.') {
-                if is_dep_table(table) {
-                    open_subsection = Some(DepEntry {
-                        manifest: manifest.to_string(),
-                        name: name.to_string(),
-                        line: (i + 1) as u32,
-                        internal: false,
-                    });
-                }
-                in_dep_section = false;
-            } else {
-                in_dep_section = false;
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let (key, value) = (key.trim(), value.trim());
-        if let Some(sub) = open_subsection.as_mut() {
-            if key == "workspace" && value == "true" {
-                sub.internal = true;
-            }
-            if key == "path" {
-                sub.internal = true;
-            }
-            continue;
-        }
-        if in_dep_section {
-            let internal = value.contains("workspace = true") || value.contains("path =");
-            entries.push(DepEntry {
-                manifest: manifest.to_string(),
-                name: key.trim_matches('"').to_string(),
-                line: (i + 1) as u32,
-                internal,
-            });
-        }
-    }
-    if let Some(done) = open_subsection.take() {
-        entries.push(done);
-    }
-    entries
-}
-
-/// Removes a trailing `#` comment from a manifest line, respecting
-/// double-quoted strings.
-fn strip_toml_comment(line: &str) -> String {
-    let mut out = String::new();
-    let mut in_string = false;
-    for c in line.chars() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => break,
-            _ => {}
-        }
-        out.push(c);
-    }
-    out
-}
-
-/// **deps** — every non-internal dependency entry is a finding.
-#[must_use]
-pub fn check_deps(entries: &[DepEntry]) -> Vec<Finding> {
-    entries
-        .iter()
-        .filter(|e| !e.internal)
-        .map(|e| {
-            Finding::new(
+        if let Some(name) = line.strip_prefix("name = ") {
+            package = name.trim_matches('"');
+        } else if let Some(source) = line.strip_prefix("source = ") {
+            findings.push(Finding::new(
                 "deps",
-                &e.manifest,
-                e.line,
+                LOCKFILE,
+                (i + 1) as u32,
                 format!(
-                    "dependency `{}` is not a workspace-internal path dependency — \
-                     the build is std-only and offline (DESIGN.md §7)",
-                    e.name
+                    "package `{package}` resolves from {source} — the build is std-only \
+                     and offline (DESIGN.md §7)"
                 ),
-            )
-        })
-        .collect()
+            ));
+        }
+    }
+    findings
+}
+
+/// **deps** — a member manifest (at workspace-relative `manifest`) that
+/// does not inherit the workspace lint table is a finding.
+#[must_use]
+pub fn check_manifest_lints(manifest: &str, text: &str) -> Option<Finding> {
+    let mut in_lints = false;
+    for line in text.lines() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return None;
+        }
+    }
+    Some(Finding::new(
+        "deps",
+        manifest,
+        1,
+        "manifest lacks `[lints] workspace = true`, so the workspace lint table \
+         (`unsafe_code = \"forbid\"`) does not reach its targets"
+            .to_string(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::items::exact_path;
 
     fn cast_findings(src: &str) -> Vec<Finding> {
-        let file = SourceFile::parse("crates/x/src/lib.rs", src).unwrap();
+        let file = SourceFile::parse("crates/core/src/lib.rs", src).unwrap();
         let items = ItemIndex::build(&file);
-        let files = vec![("crates/x/src/lib.rs", &items, &file)];
+        let files = vec![("crates/core/src/lib.rs", &items, &file)];
         let exact = exact_path(&files, &["Ratio"]);
-        let cfg = Config::parse("[rule.cast]\nscope = [\"crates\"]\n").unwrap();
-        check_cast(&file, &cfg.rule("cast"), &items, &exact)
+        check_cast(&file, &items, &exact)
     }
 
     #[test]
@@ -339,82 +219,25 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_flagged_with_enclosing_fn() {
-        let file = SourceFile::parse(
-            "crates/x/src/lib.rs",
-            "fn fast(p: *const u8) -> u8 { unsafe { *p } }\n",
-        )
-        .unwrap();
-        let items = ItemIndex::build(&file);
-        let cfg = Config::parse("[rule.unsafe]\nscope = [\"crates\"]\n").unwrap();
-        let findings = check_unsafe(&file, &cfg.rule("unsafe"), &items);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("fn `fast`"));
+    fn lockfile_sources_are_findings() {
+        let lock = "version = 4\n\n\
+                    [[package]]\nname = \"defender-num\"\nversion = \"0.1.0\"\n\n\
+                    [[package]]\nname = \"serde\"\nversion = \"1.0.0\"\n\
+                    source = \"registry+https://github.com/rust-lang/crates.io-index\"\n";
+        let findings = check_lockfile(lock);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].rule.as_str(), findings[0].line), ("deps", 10));
+        assert!(findings[0].message.contains("`serde`"));
+        assert!(check_lockfile("[[package]]\nname = \"defender-num\"\n").is_empty());
     }
 
     #[test]
-    fn forbid_unsafe_code_attribute_is_not_a_finding() {
-        let file = SourceFile::parse(
-            "crates/x/src/lib.rs",
-            "#![forbid(unsafe_code)]\nfn ok() {}\n",
-        )
-        .unwrap();
-        let items = ItemIndex::build(&file);
-        let cfg = Config::parse("[rule.unsafe]\nscope = [\"crates\"]\n").unwrap();
-        assert!(check_unsafe(&file, &cfg.rule("unsafe"), &items).is_empty());
-    }
-
-    #[test]
-    fn manifest_deps_parse_and_audit() {
-        let toml = r#"
-[package]
-name = "defender-x"
-
-[dependencies]
-defender-num = { workspace = true }
-defender-obs = { path = "../obs" }
-serde = "1.0"               # external: finding
-rand = { version = "0.8" }
-
-[dependencies.libc]
-version = "0.2"
-
-[dev-dependencies]
-defender-game = { workspace = true }
-
-[features]
-default = []
-"#;
-        let entries = parse_manifest_deps("crates/x/Cargo.toml", toml);
-        let names: Vec<(&str, bool)> = entries
-            .iter()
-            .map(|e| (e.name.as_str(), e.internal))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("defender-num", true),
-                ("defender-obs", true),
-                ("serde", false),
-                ("rand", false),
-                ("libc", false),
-                ("defender-game", true),
-            ]
-        );
-        let findings = check_deps(&entries);
-        assert_eq!(findings.len(), 3, "{findings:?}");
-        assert!(findings.iter().all(|f| f.rule == "deps"));
-        assert!(findings[0].message.contains("serde"));
-    }
-
-    #[test]
-    fn workspace_dependencies_table_audited() {
-        let toml = "[workspace.dependencies]\n\
-                    defender-num = { path = \"crates/num\", version = \"0.1.0\" }\n\
-                    regex = \"1\"\n";
-        let entries = parse_manifest_deps("Cargo.toml", toml);
-        let findings = check_deps(&entries);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("regex"));
+    fn manifests_must_inherit_the_workspace_lints() {
+        let inherits = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n\n[dependencies]\n";
+        assert_eq!(check_manifest_lints("crates/x/Cargo.toml", inherits), None);
+        let elsewhere = "[package]\nname = \"x\"\n\n[lints]\n\n[dependencies]\nworkspace = true\n";
+        let finding = check_manifest_lints("crates/x/Cargo.toml", elsewhere).unwrap();
+        assert_eq!(finding.path, "crates/x/Cargo.toml");
+        assert!(check_manifest_lints("Cargo.toml", "[package]\nname = \"x\"\n").is_some());
     }
 }

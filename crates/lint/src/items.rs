@@ -2,11 +2,10 @@
 //! recovered from the token stream.
 //!
 //! The v2 rule families need more context than a flat token stream gives:
-//! *which function* does a `thread::spawn` live in, *which functions* feed
-//! exact `Ratio` arithmetic, *where* does an `unsafe` block sit. This
-//! module recovers that structure with the same hand-rolled,
-//! zero-dependency discipline as the tokenizer — a bracket-matching scan,
-//! not a parser:
+//! *which function* hosts a site, and *which functions* feed exact
+//! `Ratio` arithmetic. This module recovers that structure with the same
+//! hand-rolled, zero-dependency discipline as the tokenizer — a
+//! bracket-matching scan, not a parser:
 //!
 //! - [`ItemIndex::build`] walks the non-test code tokens of one file and
 //!   records every `fn` / `mod` / `impl` / `trait` item: name, 1-based

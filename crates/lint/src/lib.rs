@@ -13,18 +13,23 @@
 //! `syn`, no rustc): see [`rules`] and DESIGN.md §12 for the soundness
 //! caveats this buys the zero-dependency build. v2 adds an **item layer**
 //! ([`items`]) — item extents and an approximate intra-crate call graph —
-//! so the newer rule families ([`concurrency`], [`panic2`], [`audit`]) can
-//! gate by *function* (is this on the exact `Ratio` path? which fn hosts
-//! this spawn?) instead of flagging every token uniformly. A final
-//! suppression-ageing pass turns every `// lint: allow(…)` that suppressed
-//! nothing into an `unused_allow` finding, so annotations cannot outlive
-//! the code they justified.
+//! so [`panic2`] and the cast rule in [`audit`] can gate by *function*
+//! (is this on the exact `Ratio` path?) instead of flagging every token
+//! uniformly. A final suppression-ageing pass turns every
+//! `// lint: allow(…)` that suppressed nothing into an `unused_allow`
+//! finding, so annotations cannot outlive the code they justified.
 //!
+//! What the compiler and cargo already decide stays with them: the root
+//! manifest's `[workspace.lints.rust]` table forbids `unsafe` in every
+//! target, and `Cargo.lock` records every resolved package. The **deps**
+//! rule ([`audit`]) only checks that each member manifest inherits that
+//! table and that the lockfile names no registry or git source.
+//!
+//! Each rule's scope is a constant next to the rule; there is no config
+//! file. `defender lint` ([`run`]) is the one command-line entry point.
 //! Exit codes: `0` clean, `2` findings, `1` usage or I/O error.
 
 pub mod audit;
-pub mod concurrency;
-pub mod config;
 pub mod items;
 pub mod panic2;
 pub mod rules;
@@ -37,8 +42,6 @@ use std::path::{Path, PathBuf};
 
 use defender_obs::json::{JsonArray, JsonObject};
 
-use concurrency::ConcurrencyStats;
-use config::Config;
 use items::{FnId, ItemIndex};
 use panic2::Panic2Stats;
 use rules::{Finding, MetricUse, MetricsInputs, PanicStats};
@@ -51,12 +54,12 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files tokenized.
     pub files_scanned: u64,
+    /// Well-formed `// lint: allow(…)` annotations in the scanned code.
+    pub annotations: u64,
     /// Panic-site classification totals.
     pub panic: PanicStats,
     /// Panic-propagation v2 site totals (exact-path gating).
     pub panic2: Panic2Stats,
-    /// Concurrency-rule site totals.
-    pub concurrency: ConcurrencyStats,
     /// Functions on the exact path (per-crate `Ratio` closures, merged).
     pub exact_fns: u64,
     /// Every metric call site seen (also drives `--dump-registry`).
@@ -96,25 +99,23 @@ impl LintReport {
             format!(" ({})", per_rule.join(", "))
         };
         out.push_str(&format!(
-            "lint: {} finding(s){} in {} file(s); panic sites: {} ({} annotated), \
-             index sites: {}\n",
+            "lint: {} finding(s){} in {} file(s); {} annotation(s); \
+             panic sites: {} ({} annotated), index sites: {}\n",
             self.findings.len(),
             breakdown,
             self.files_scanned,
+            self.annotations,
             self.panic.sites,
             self.panic.annotated,
             self.panic.index_sites,
         ));
         out.push_str(&format!(
             "lint: exact path: {} fn(s), {} gated site(s) ({} annotated), \
-             {} site(s) outside; ordering sites: {}, lock sites: {}, spawn sites: {}\n",
+             {} site(s) outside\n",
             self.exact_fns,
             self.panic2.sites_exact,
             self.panic2.annotated,
             self.panic2.sites_outside_exact,
-            self.concurrency.ordering_sites,
-            self.concurrency.lock_sites,
-            self.concurrency.spawn_sites,
         ));
         out
     }
@@ -141,16 +142,11 @@ impl LintReport {
         panic2.field_u64("sites_exact", self.panic2.sites_exact);
         panic2.field_u64("annotated", self.panic2.annotated);
         panic2.field_u64("sites_outside_exact", self.panic2.sites_outside_exact);
-        let mut conc = JsonObject::new();
-        conc.field_u64("ordering_sites", self.concurrency.ordering_sites);
-        conc.field_u64("lock_sites", self.concurrency.lock_sites);
-        conc.field_u64("spawn_sites", self.concurrency.spawn_sites);
         let mut root = JsonObject::new();
         root.field_u64("files_scanned", self.files_scanned);
         root.field_raw("findings", &findings.finish());
         root.field_raw("panic", &panic.finish());
         root.field_raw("panic2", &panic2.finish());
-        root.field_raw("concurrency", &conc.finish());
         root.finish()
     }
 
@@ -162,17 +158,16 @@ impl LintReport {
         let by_rule = self.by_rule();
         let count = |rule: &str| by_rule.get(rule).copied().unwrap_or(0);
         let mut counters = JsonObject::new();
+        counters.field_u64("lint.annotations", self.annotations);
         counters.field_u64("lint.files_scanned", self.files_scanned);
         counters.field_u64("lint.findings.annotation", count("annotation"));
         counters.field_u64("lint.findings.cast", count("cast"));
-        counters.field_u64("lint.findings.concurrency", count("concurrency"));
         counters.field_u64("lint.findings.deps", count("deps"));
         counters.field_u64("lint.findings.determinism", count("determinism"));
         counters.field_u64("lint.findings.exactness", count("exactness"));
         counters.field_u64("lint.findings.metrics", count("metrics"));
         counters.field_u64("lint.findings.panic", count("panic"));
         counters.field_u64("lint.findings.panic2", count("panic2"));
-        counters.field_u64("lint.findings.unsafe", count("unsafe"));
         counters.field_u64("lint.findings.unused_allow", count("unused_allow"));
         let mut root = JsonObject::new();
         root.field_str("experiment", "lint");
@@ -188,17 +183,16 @@ impl LintReport {
 fn record_obs_counters(report: &LintReport) {
     let by_rule = report.by_rule();
     let count = |rule: &str| by_rule.get(rule).copied().unwrap_or(0);
+    defender_obs::counter!("lint.annotations").add(report.annotations);
     defender_obs::counter!("lint.files_scanned").add(report.files_scanned);
     defender_obs::counter!("lint.findings.annotation").add(count("annotation"));
     defender_obs::counter!("lint.findings.cast").add(count("cast"));
-    defender_obs::counter!("lint.findings.concurrency").add(count("concurrency"));
     defender_obs::counter!("lint.findings.deps").add(count("deps"));
     defender_obs::counter!("lint.findings.determinism").add(count("determinism"));
     defender_obs::counter!("lint.findings.exactness").add(count("exactness"));
     defender_obs::counter!("lint.findings.metrics").add(count("metrics"));
     defender_obs::counter!("lint.findings.panic").add(count("panic"));
     defender_obs::counter!("lint.findings.panic2").add(count("panic2"));
-    defender_obs::counter!("lint.findings.unsafe").add(count("unsafe"));
     defender_obs::counter!("lint.findings.unused_allow").add(count("unused_allow"));
 }
 
@@ -264,7 +258,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 /// A path rendered workspace-relative with `/` separators (the form the
-/// config's prefix matching and the reports use).
+/// rule scopes and the reports use).
 fn rel_str(path: &Path) -> String {
     let s = path.to_string_lossy().into_owned();
     if std::path::MAIN_SEPARATOR == '/' {
@@ -287,7 +281,7 @@ fn crate_key(path: &str) -> String {
     }
 }
 
-/// Runs every rule over the workspace at `root` with `config`.
+/// Runs every rule over the workspace at `root`.
 ///
 /// Three passes: load + item-index every file, close the per-crate exact
 /// paths over the call graphs, then run the rule families (the item-aware
@@ -296,25 +290,16 @@ fn crate_key(path: &str) -> String {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, tokenizer errors (a file the lexer cannot read is
-/// a finding-grade event but reported as an error since nothing else can
-/// be trusted), and a malformed metrics registry.
-pub fn lint(root: &Path, config: &Config) -> Result<LintReport, String> {
-    let exactness = config.rule("exactness");
-    let determinism = config.rule("determinism");
-    let panic_rule = config.rule("panic");
-    let concurrency_rule = config.rule("concurrency");
-    let panic2_rule = config.rule("panic2");
-    let cast_rule = config.rule("cast");
-    let unsafe_rule = config.rule("unsafe");
-    let metrics = config.rule("metrics");
-
+/// Fails on I/O errors (including a missing `Cargo.lock` or metric
+/// registry), tokenizer errors (a file the lexer cannot read is a
+/// finding-grade event but reported as an error since nothing else can be
+/// trusted), and a malformed metrics registry.
+pub fn lint(root: &Path) -> Result<LintReport, String> {
     // Pass 1: load and item-index every file.
     let mut loaded: Vec<(SourceFile, ItemIndex)> = Vec::new();
     for rel in workspace_files(root)? {
         let rel_name = rel_str(&rel);
-        let text = fs::read_to_string(root.join(&rel))
-            .map_err(|e| format!("cannot read {rel_name}: {e}"))?;
+        let text = read(root, &rel_name)?;
         let file = SourceFile::parse(&rel_name, &text)
             .map_err(|e| format!("{rel_name}: tokenizer: {e}"))?;
         let index = ItemIndex::build(&file);
@@ -343,38 +328,24 @@ pub fn lint(root: &Path, config: &Config) -> Result<LintReport, String> {
     };
     for (file, index) in &loaded {
         report.files_scanned += 1;
+        report.annotations += file.allows.len() as u64;
         report.findings.extend(rules::check_annotations(file));
-        report
-            .findings
-            .extend(rules::check_exactness(file, &exactness));
-        report
-            .findings
-            .extend(rules::check_determinism(file, &determinism));
-        let (panic_findings, stats) = rules::check_panic(file, &panic_rule);
+        report.findings.extend(rules::check_exactness(file));
+        report.findings.extend(rules::check_determinism(file));
+        let (panic_findings, stats) = rules::check_panic(file);
         report.findings.extend(panic_findings);
         report.panic.sites += stats.sites;
         report.panic.annotated += stats.annotated;
         report.panic.index_sites += stats.index_sites;
-        let (conc_findings, conc_stats) =
-            concurrency::check_concurrency(file, &concurrency_rule, index);
-        report.findings.extend(conc_findings);
-        report.concurrency.ordering_sites += conc_stats.ordering_sites;
-        report.concurrency.lock_sites += conc_stats.lock_sites;
-        report.concurrency.spawn_sites += conc_stats.spawn_sites;
-        let (p2_findings, p2_stats) = panic2::check_panic2(file, &panic2_rule, index, &exact);
+        let (p2_findings, p2_stats) = panic2::check_panic2(file, index, &exact);
         report.findings.extend(p2_findings);
         report.panic2.sites_exact += p2_stats.sites_exact;
         report.panic2.annotated += p2_stats.annotated;
         report.panic2.sites_outside_exact += p2_stats.sites_outside_exact;
         report
             .findings
-            .extend(audit::check_cast(file, &cast_rule, index, &exact));
-        report
-            .findings
-            .extend(audit::check_unsafe(file, &unsafe_rule, index));
-        if metrics.applies_to(&file.path) {
-            report.metric_uses.extend(rules::extract_metric_uses(file));
-        }
+            .extend(audit::check_cast(file, index, &exact));
+        report.metric_uses.extend(rules::extract_metric_uses(file));
         for allow in file.unused_allows() {
             report.findings.push(Finding::new(
                 "unused_allow",
@@ -389,13 +360,8 @@ pub fn lint(root: &Path, config: &Config) -> Result<LintReport, String> {
         }
     }
 
-    // Dependency audit over every manifest.
-    for (manifest, text) in workspace_manifests(root)? {
-        let entries = audit::parse_manifest_deps(&manifest, &text);
-        report.findings.extend(audit::check_deps(&entries));
-    }
-
-    let inputs = load_metrics_inputs(root, &metrics)?;
+    report.findings.extend(deps_findings(root)?);
+    let inputs = load_metrics_inputs(root)?;
     report
         .findings
         .extend(rules::check_metrics(&report.metric_uses, &inputs));
@@ -407,68 +373,65 @@ pub fn lint(root: &Path, config: &Config) -> Result<LintReport, String> {
     Ok(report)
 }
 
-/// Collects `(workspace-relative path, text)` of the root `Cargo.toml` and
-/// every `crates/*/Cargo.toml`, for the dependency audit.
-fn workspace_manifests(root: &Path) -> Result<Vec<(String, String)>, String> {
-    let mut manifests = Vec::new();
-    let root_toml = root.join("Cargo.toml");
-    if root_toml.is_file() {
-        let text =
-            fs::read_to_string(&root_toml).map_err(|e| format!("cannot read Cargo.toml: {e}"))?;
-        manifests.push(("Cargo.toml".to_string(), text));
-    }
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for entry in read_dir_sorted(&crates_dir)? {
-            let toml = entry.join("Cargo.toml");
-            if !toml.is_file() {
-                continue;
-            }
-            let rel = toml
-                .strip_prefix(root)
-                .map_or_else(|_| toml.clone(), Path::to_path_buf);
-            let text = fs::read_to_string(&toml)
-                .map_err(|e| format!("cannot read {}: {e}", toml.display()))?;
-            manifests.push((rel_str(&rel), text));
-        }
-    }
-    Ok(manifests)
+/// Reads the workspace-relative file `rel`.
+fn read(root: &Path, rel: &str) -> Result<String, String> {
+    fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
 }
 
-/// Reads the registry, documentation and baseline files named by the
-/// `[rule.metrics]` section.
-fn load_metrics_inputs(root: &Path, cfg: &config::RuleConfig) -> Result<MetricsInputs, String> {
-    let mut inputs = MetricsInputs::default();
-    let Some(registry_rel) = cfg.extra_one("registry") else {
-        return Ok(inputs); // no registry configured → audit disabled
-    };
-    inputs.registry_path = registry_rel.to_string();
-    let registry_text = fs::read_to_string(root.join(registry_rel))
-        .map_err(|e| format!("cannot read {registry_rel}: {e}"))?;
-    inputs.registry =
-        rules::parse_registry(&registry_text).map_err(|e| format!("{registry_rel}: {e}"))?;
-    for doc in cfg.extra.get("docs").map(Vec::as_slice).unwrap_or(&[]) {
-        let text =
-            fs::read_to_string(root.join(doc)).map_err(|e| format!("cannot read {doc}: {e}"))?;
-        inputs.docs.push((doc.clone(), text));
+/// The **deps** rule: `Cargo.lock`, then every member manifest — the root
+/// `Cargo.toml` when it declares a package, and each `crates/*/Cargo.toml`.
+fn deps_findings(root: &Path) -> Result<Vec<Finding>, String> {
+    let mut findings = audit::check_lockfile(&read(root, audit::LOCKFILE)?);
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for krate in read_dir_sorted(&crates_dir)? {
+            if let Some(name) = krate.file_name() {
+                manifests.push(format!("crates/{}/Cargo.toml", name.to_string_lossy()));
+            }
+        }
     }
-    for dir in cfg.extra.get("baselines").map(Vec::as_slice).unwrap_or(&[]) {
-        let dir_path = root.join(dir);
-        if !dir_path.is_dir() {
+    for rel in manifests {
+        if !root.join(&rel).is_file() {
             continue;
         }
-        for path in read_dir_sorted(&dir_path)? {
-            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-            let Some(name) = name else { continue };
-            if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-                continue;
-            }
-            let text = fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let keys =
-                baseline_counter_keys(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            inputs.baselines.push((format!("{dir}/{name}"), keys));
+        let text = read(root, &rel)?;
+        // A virtual root manifest has no targets for the table to reach.
+        if rel == "Cargo.toml" && !text.contains("[package]") {
+            continue;
         }
+        findings.extend(audit::check_manifest_lints(&rel, &text));
+    }
+    Ok(findings)
+}
+
+/// Reads the metric registry, its documentation and the committed
+/// baselines.
+fn load_metrics_inputs(root: &Path) -> Result<MetricsInputs, String> {
+    let registry_text = read(root, rules::REGISTRY)?;
+    let mut inputs = MetricsInputs {
+        registry_path: rules::REGISTRY.to_string(),
+        registry: rules::parse_registry(&registry_text)
+            .map_err(|e| format!("{}: {e}", rules::REGISTRY))?,
+        docs: vec![(
+            rules::METRIC_DOCS.to_string(),
+            read(root, rules::METRIC_DOCS)?,
+        )],
+        baselines: Vec::new(),
+    };
+    let dir = root.join(rules::BASELINES);
+    if !dir.is_dir() {
+        return Ok(inputs);
+    }
+    for path in read_dir_sorted(&dir)? {
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let Some(name) = name else { continue };
+        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
+            continue;
+        }
+        let rel = format!("{}/{name}", rules::BASELINES);
+        let keys = baseline_counter_keys(&read(root, &rel)?).map_err(|e| format!("{rel}: {e}"))?;
+        inputs.baselines.push((rel, keys));
     }
     Ok(inputs)
 }
@@ -487,13 +450,13 @@ fn baseline_counter_keys(text: &str) -> Result<Vec<String>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Command-line driver (shared by the standalone binary and `defender lint`)
+// Command-line driver (`defender lint`)
 // ---------------------------------------------------------------------------
 
 const USAGE: &str = "\
-usage: defender-lint [options]
-  --root <dir>      workspace root (default: nearest ancestor with lint.toml)
-  --config <file>   config path (default: <root>/lint.toml)
+usage: defender lint [options]
+  --root <dir>      workspace root (default: nearest ancestor holding
+                    crates/obs/metrics_registry.txt)
   --format <f>      text | json   (default: text)
   --sidecar         also write BENCH_lint.json in the current directory
   --dump-registry   print a metrics_registry.txt for the workspace's
@@ -504,7 +467,6 @@ exit status: 0 clean, 2 findings, 1 error";
 #[derive(Clone, Debug, Default)]
 struct Options {
     root: Option<PathBuf>,
-    config: Option<PathBuf>,
     json: bool,
     sidecar: bool,
     dump_registry: bool,
@@ -518,10 +480,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--root" => {
                 let v = it.next().ok_or("--root needs a value".to_string())?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--config" => {
-                let v = it.next().ok_or("--config needs a value".to_string())?;
-                opts.config = Some(PathBuf::from(v));
             }
             "--format" => {
                 let v = it.next().ok_or("--format needs a value".to_string())?;
@@ -541,24 +499,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 }
 
 /// Finds the workspace root: the nearest ancestor of the current directory
-/// containing `lint.toml`.
+/// holding the metric registry.
 fn find_root() -> Result<PathBuf, String> {
     let start = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-    let mut dir = start.as_path();
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return Ok(dir.to_path_buf());
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => {
-                return Err(format!(
-                    "no lint.toml found above {} (pass --root)",
-                    start.display()
-                ));
-            }
-        }
-    }
+    start
+        .ancestors()
+        .find(|dir| dir.join(rules::REGISTRY).is_file())
+        .map(Path::to_path_buf)
+        .ok_or(format!(
+            "no {} found above {} (pass --root)",
+            rules::REGISTRY,
+            start.display()
+        ))
 }
 
 /// A registry document inferred from the workspace's current call sites
@@ -585,8 +537,8 @@ pub fn dump_registry(uses: &[MetricUse]) -> String {
     out
 }
 
-/// Runs the lint CLI with `args` (without the program name), printing to
-/// stdout, and returns the intended exit code.
+/// Runs the `defender lint` command with `args` (without the program
+/// name), printing to stdout, and returns the intended exit code.
 ///
 /// # Errors
 ///
@@ -598,15 +550,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         Some(r) => r.clone(),
         None => find_root()?,
     };
-    let config_path = opts
-        .config
-        .clone()
-        .unwrap_or_else(|| root.join("lint.toml"));
-    let config_text = fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {}: {e}", config_path.display()))?;
-    let config =
-        Config::parse(&config_text).map_err(|e| format!("{}: {e}", config_path.display()))?;
-    let report = lint(&root, &config)?;
+    let report = lint(&root)?;
     if opts.dump_registry {
         print!("{}", dump_registry(&report.metric_uses));
         return Ok(0);

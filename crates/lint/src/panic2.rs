@@ -22,13 +22,13 @@
 //!
 //! Sites *outside* exact-path functions are counted in
 //! [`Panic2Stats::sites_outside_exact`] but not gated — the same
-//! signal-to-noise judgement v1 documents for index sites.
+//! signal-to-noise judgement v1 documents for index sites. The rule
+//! scans the exact-arithmetic crates (`EXACT_SCOPE` in [`crate::rules`]).
 
 use std::collections::BTreeSet;
 
-use crate::config::RuleConfig;
 use crate::items::{FnId, ItemIndex};
-use crate::rules::Finding;
+use crate::rules::{in_scope, Finding, EXACT_SCOPE};
 use crate::source::SourceFile;
 use crate::tokenizer::{Token, TokenKind};
 
@@ -66,12 +66,11 @@ impl SiteKind {
 /// crate's exact-path closure from [`crate::items::exact_path`].
 pub fn check_panic2(
     file: &SourceFile,
-    cfg: &RuleConfig,
     items: &ItemIndex,
     exact: &BTreeSet<FnId>,
 ) -> (Vec<Finding>, Panic2Stats) {
     let mut stats = Panic2Stats::default();
-    if !cfg.applies_to(&file.path) {
+    if !in_scope(&file.path, EXACT_SCOPE) {
         return (Vec::new(), stats);
     }
     let code: Vec<&Token> = file.code_tokens().map(|(_, t)| t).collect();
@@ -224,16 +223,14 @@ fn nonzero_int_literal(text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::items::exact_path;
 
     fn check(src: &str) -> (Vec<Finding>, Panic2Stats) {
-        let file = SourceFile::parse("crates/x/src/lib.rs", src).unwrap();
+        let file = SourceFile::parse("crates/lp/src/lib.rs", src).unwrap();
         let items = ItemIndex::build(&file);
-        let files = vec![("crates/x/src/lib.rs", &items, &file)];
+        let files = vec![("crates/lp/src/lib.rs", &items, &file)];
         let exact = exact_path(&files, &["Ratio"]);
-        let cfg = Config::parse("[rule.panic2]\nscope = [\"crates\"]\n").unwrap();
-        check_panic2(&file, &cfg.rule("panic2"), &items, &exact)
+        check_panic2(&file, &items, &exact)
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Every rule is a pure function from tokenized sources (plus, for the
 //! metric audit, registry/docs/baseline text) to [`Finding`]s — no I/O
 //! here, so fixture tests can drive the rules on in-memory workspaces.
+//! Each rule's scope is a constant list of workspace-relative path
+//! prefixes, kept here with the reason it reaches the crates it does.
 //!
 //! All rules are **token-level**: they see the lexical stream, not the
 //! semantic program. The soundness caveats this implies (e.g. a local
@@ -11,7 +13,6 @@
 //! in exchange the checker needs no `syn`, no rustc, and runs in
 //! milliseconds on the whole workspace.
 
-use crate::config::RuleConfig;
 use crate::source::SourceFile;
 use crate::tokenizer::{Token, TokenKind};
 
@@ -40,9 +41,91 @@ impl Finding {
     }
 }
 
-/// Idents the determinism rule forbids when `lint.toml` does not override
-/// them with a `forbid = […]` key.
-const DEFAULT_FORBIDDEN: &[&str] = &[
+/// Whether the workspace-relative `path` starts with one of `prefixes`.
+#[must_use]
+pub(crate) fn in_scope(path: &str, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| path.starts_with(p))
+}
+
+/// The exact-arithmetic crates, checked by the exactness, panic2 and cast
+/// rules: NE probabilities are rationals (paper Thm. 1), so floats,
+/// panics and truncating casts there corrupt an equilibrium.
+pub(crate) const EXACT_SCOPE: &[&str] = &[
+    "crates/num/src",
+    "crates/lp/src",
+    "crates/game/src",
+    "crates/core/src",
+    "crates/matching/src",
+    "crates/cache/src",
+    "crates/serve/src",
+];
+
+/// Files in [`EXACT_SCOPE`] exempt from the exactness rule: their floats
+/// measure, they never compute an equilibrium.
+pub(crate) const EXACTNESS_ALLOW: &[&str] = &[
+    // Uniform f64 sampling for experiment drivers only.
+    "crates/num/src/rng.rs",
+    // Empirical catch-rate reporting, not NE computation.
+    "crates/core/src/dynamics.rs",
+    // The Monte-Carlo harness; the exact path never calls it.
+    "crates/core/src/simulate.rs",
+];
+
+/// Library crates that must replay bit-identically: no wall clock, no
+/// hash-order containers, no ambient randomness (`defender_num::rng` is
+/// the only RNG). `bench` and `cli` are out because timing is their
+/// purpose; `sweep`, `cache` and `serve` are out for the reasons given at
+/// [`PANIC_SCOPE`].
+pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
+    "crates/num/src",
+    "crates/graph/src",
+    "crates/matching/src",
+    "crates/game/src",
+    "crates/lp/src",
+    "crates/core/src",
+    "crates/par/src",
+    "crates/obs/src",
+    "crates/profile/src",
+    "crates/lint/src",
+    "src",
+];
+
+/// Library crates in which every potential panic site needs a fix or a
+/// `// lint: allow(panic) <reason>` annotation.
+///
+/// `sweep`, `cache` and `serve` are here but not in
+/// [`DETERMINISM_SCOPE`]:
+/// - the sweep runner reads the wall clock (rates, ETAs, stall timeouts)
+///   and its outputs are process-orchestration artifacts; only the merged
+///   counters object is deterministic, which the bench
+///   `sweep_determinism` tests and `ci.sh` enforce end to end;
+/// - the cache times canonicalization (`cache.canon_ns`) off the wall
+///   clock; its answers stay exact and replay-deterministic, which the
+///   delta-replay tests enforce directly;
+/// - a server reads the wall clock (batch linger windows, request
+///   deadlines, latency histograms, flush intervals) and its live `srv.*`
+///   telemetry is traffic-shaped by design; its answers stay exact and
+///   its judged counters warmth- and jobs-invariant, which the serve
+///   tests and the `ci.sh` serve gate enforce.
+pub(crate) const PANIC_SCOPE: &[&str] = &[
+    "crates/num/src",
+    "crates/graph/src",
+    "crates/matching/src",
+    "crates/game/src",
+    "crates/lp/src",
+    "crates/core/src",
+    "crates/par/src",
+    "crates/obs/src",
+    "crates/profile/src",
+    "crates/lint/src",
+    "crates/sweep/src",
+    "crates/cache/src",
+    "crates/serve/src",
+    "src",
+];
+
+/// Idents the determinism rule forbids.
+const FORBIDDEN: &[&str] = &[
     "SystemTime",
     "Instant",
     "HashMap",
@@ -66,8 +149,8 @@ pub fn check_annotations(file: &SourceFile) -> Vec<Finding> {
 ///
 /// Flags `f64`/`f32` idents (covers `as f64` casts, type ascriptions and
 /// `f64::from` paths) and float literals in scoped files.
-pub fn check_exactness(file: &SourceFile, cfg: &RuleConfig) -> Vec<Finding> {
-    if !cfg.applies_to(&file.path) {
+pub fn check_exactness(file: &SourceFile) -> Vec<Finding> {
+    if !in_scope(&file.path, EXACT_SCOPE) || in_scope(&file.path, EXACTNESS_ALLOW) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -75,7 +158,8 @@ pub fn check_exactness(file: &SourceFile, cfg: &RuleConfig) -> Vec<Finding> {
         let message = if token.is_ident("f64") || token.is_ident("f32") {
             format!(
                 "`{}` in an exact-arithmetic crate; NE probabilities are rationals \
-                 (paper Thm. 1) — use Ratio, or allowlist a timing/report module in lint.toml",
+                 (paper Thm. 1) — use Ratio, or annotate a measurement-only site with \
+                 `// lint: allow(exactness) <reason>`",
                 token.text
             )
         } else if token.kind == TokenKind::Float {
@@ -95,17 +179,13 @@ pub fn check_exactness(file: &SourceFile, cfg: &RuleConfig) -> Vec<Finding> {
 
 /// **determinism** — no wall clock, hash-order containers, or ambient
 /// randomness in library crates; `defender_num::rng` is the only RNG.
-pub fn check_determinism(file: &SourceFile, cfg: &RuleConfig) -> Vec<Finding> {
-    if !cfg.applies_to(&file.path) {
+pub fn check_determinism(file: &SourceFile) -> Vec<Finding> {
+    if !in_scope(&file.path, DETERMINISM_SCOPE) {
         return Vec::new();
     }
-    let forbidden: Vec<&str> = match cfg.extra.get("forbid") {
-        Some(names) => names.iter().map(String::as_str).collect(),
-        None => DEFAULT_FORBIDDEN.to_vec(),
-    };
     let mut findings = Vec::new();
     for (_, token) in file.code_tokens() {
-        if token.kind != TokenKind::Ident || !forbidden.contains(&token.text.as_str()) {
+        if token.kind != TokenKind::Ident || !FORBIDDEN.contains(&token.text.as_str()) {
             continue;
         }
         if file.is_allowed("determinism", token.line) {
@@ -139,9 +219,9 @@ pub struct PanicStats {
 
 /// **panic** — every potential-panic site in a library crate must be
 /// fixed or carry a `// lint: allow(panic) <reason>` annotation.
-pub fn check_panic(file: &SourceFile, cfg: &RuleConfig) -> (Vec<Finding>, PanicStats) {
+pub fn check_panic(file: &SourceFile) -> (Vec<Finding>, PanicStats) {
     let mut stats = PanicStats::default();
-    if !cfg.applies_to(&file.path) {
+    if !in_scope(&file.path, PANIC_SCOPE) {
         return (Vec::new(), stats);
     }
     let code: Vec<&Token> = file.code_tokens().map(|(_, t)| t).collect();
@@ -201,6 +281,16 @@ pub fn check_panic(file: &SourceFile, cfg: &RuleConfig) -> (Vec<Finding>, PanicS
 // ---------------------------------------------------------------------------
 // Metric-registry audit
 // ---------------------------------------------------------------------------
+
+/// The metric registry of record, relative to the workspace root.
+pub(crate) const REGISTRY: &str = "crates/obs/metrics_registry.txt";
+
+/// The document every registered counter must appear in.
+pub(crate) const METRIC_DOCS: &str = "EXPERIMENTS.md";
+
+/// The directory of committed `BENCH_*.json` sidecars whose counter keys
+/// must all be registered names.
+pub(crate) const BASELINES: &str = "baselines";
 
 /// The metric kinds the obs macros declare.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -462,79 +552,55 @@ pub fn check_metrics(uses: &[MetricUse], inputs: &MetricsInputs) -> Vec<Finding>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
 
     fn file(path: &str, src: &str) -> SourceFile {
         SourceFile::parse(path, src).unwrap()
     }
 
-    fn cfg(toml: &str) -> Config {
-        Config::parse(toml).unwrap()
-    }
-
     #[test]
     fn exactness_flags_floats_and_casts() {
-        let config = cfg(
-            "[rule.exactness]\nscope = [\"crates/num/src\"]\nallow = [\"crates/num/src/rng.rs\"]\n",
-        );
         let bad = file(
             "crates/num/src/ratio.rs",
             "fn f(x: i64) -> f64 { x as f64 * 0.5 }\n",
         );
-        let findings = check_exactness(&bad, &config.rule("exactness"));
+        let findings = check_exactness(&bad);
         assert_eq!(findings.len(), 3, "{findings:?}"); // f64, f64, 0.5
         let allowed = file("crates/num/src/rng.rs", "fn f() -> f64 { 0.5 }\n");
-        assert!(check_exactness(&allowed, &config.rule("exactness")).is_empty());
+        assert!(check_exactness(&allowed).is_empty());
         let out_of_scope = file("crates/bench/src/timer.rs", "fn f() -> f64 { 0.5 }\n");
-        assert!(check_exactness(&out_of_scope, &config.rule("exactness")).is_empty());
+        assert!(check_exactness(&out_of_scope).is_empty());
     }
 
     #[test]
     fn exactness_respects_annotations_and_strings() {
-        let config = cfg("[rule.exactness]\nscope = [\"crates/num/src\"]\n");
         let src = "// lint: allow(exactness) report string only\n\
                    fn f(x: i64) -> f64 { g(x) }\n\
                    const LABEL: &str = \"uses f64 internally\";\n";
-        assert!(check_exactness(
-            &file("crates/num/src/report.rs", src),
-            &config.rule("exactness")
-        )
-        .is_empty());
+        assert!(check_exactness(&file("crates/num/src/report.rs", src)).is_empty());
     }
 
     #[test]
     fn determinism_flags_forbidden_idents() {
-        let config = cfg("[rule.determinism]\nscope = [\"crates\"]\n");
         let bad = file(
             "crates/core/src/run.rs",
             "use std::collections::HashMap;\nfn t() { let _ = Instant::now(); }\n",
         );
-        let findings = check_determinism(&bad, &config.rule("determinism"));
+        let findings = check_determinism(&bad);
         assert_eq!(findings.len(), 2);
         assert!(findings[0].message.contains("HashMap"));
-    }
-
-    #[test]
-    fn determinism_forbid_override() {
-        let config = cfg("[rule.determinism]\nscope = [\"crates\"]\nforbid = [\"SystemTime\"]\n");
-        let src = "fn t() { let _ = (HashMap::new(), SystemTime::now()); }\n";
-        let findings =
-            check_determinism(&file("crates/x/src/a.rs", src), &config.rule("determinism"));
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("SystemTime"));
+        let out_of_scope = file("crates/sweep/src/runner.rs", "fn t() { Instant::now(); }\n");
+        assert!(check_determinism(&out_of_scope).is_empty());
     }
 
     #[test]
     fn panic_sites_classified_and_annotated() {
-        let config = cfg("[rule.panic]\nscope = [\"crates/graph/src\"]\n");
         let src = "fn f(v: &[u64], i: usize) -> u64 {\n\
                    let x = v.get(i).unwrap(); // lint: allow(panic) caller checked bounds\n\
                    let y = v.first().expect(\"nonempty\");\n\
                    if i > v.len() { panic!(\"oob\") }\n\
                    v[i] + x + y\n\
                    }\n";
-        let (findings, stats) =
-            check_panic(&file("crates/graph/src/a.rs", src), &config.rule("panic"));
+        let (findings, stats) = check_panic(&file("crates/graph/src/a.rs", src));
         assert_eq!(stats.sites, 3);
         assert_eq!(stats.annotated, 1);
         assert_eq!(stats.index_sites, 1, "v[i]");
@@ -547,9 +613,8 @@ mod tests {
     fn panic_free_fn_named_expect_is_not_a_site() {
         // obs::json has a free `expect(bytes, …)` helper — only method
         // calls (preceded by `.`) count.
-        let config = cfg("[rule.panic]\nscope = [\"crates\"]\n");
         let src = "fn expect(b: &[u8]) {}\nfn f(b: &[u8]) { expect(b); }\n";
-        let (findings, stats) = check_panic(&file("crates/x/src/a.rs", src), &config.rule("panic"));
+        let (findings, stats) = check_panic(&file("crates/obs/src/json.rs", src));
         assert!(findings.is_empty());
         assert_eq!(stats.sites, 0);
     }

@@ -1,12 +1,25 @@
 //! Fixture workspaces: a seeded violation for every rule family must make
-//! `defender-lint` exit 2, and the same workspace with the violation
-//! annotated or fixed must exit 0.
+//! `defender lint` exit 2, and the same workspace with the violation
+//! annotated or fixed must exit 0. Fixtures put their files where the
+//! built-in rule scopes look: sources under `crates/num/src` (in every
+//! source rule's scope), the metric registry, `EXPERIMENTS.md`,
+//! `baselines/`, `Cargo.lock` and the member manifests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Materializes `files` under a fresh temp workspace root and returns it.
+const LIB: &str = "crates/num/src/lib.rs";
+const REGISTRY: &str = "crates/obs/metrics_registry.txt";
+const DOCS: &str = "EXPERIMENTS.md";
+
+/// A lockfile that resolves nothing but a workspace path package.
+const PATH_ONLY_LOCK: &str =
+    "version = 4\n\n[[package]]\nname = \"defender-num\"\nversion = \"0.1.0\"\n";
+
+/// Materializes a fresh temp workspace holding the files every lint run
+/// reads — an empty metric registry, empty docs and a path-only
+/// `Cargo.lock` — then `files`, which may replace any of them.
 fn workspace(files: &[(&str, &str)]) -> PathBuf {
     static NEXT: AtomicU32 = AtomicU32::new(0);
     let root = std::env::temp_dir().join(format!(
@@ -14,7 +27,8 @@ fn workspace(files: &[(&str, &str)]) -> PathBuf {
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
-    for (rel, text) in files {
+    let defaults = [(REGISTRY, ""), (DOCS, ""), ("Cargo.lock", PATH_ONLY_LOCK)];
+    for (rel, text) in defaults.iter().chain(files) {
         let path = root.join(rel);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).unwrap();
@@ -24,25 +38,10 @@ fn workspace(files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
-const CONFIG: &str = r#"
-[rule.exactness]
-scope = ["crates/num/src"]
-
-[rule.determinism]
-scope = ["crates/num/src"]
-
-[rule.panic]
-scope = ["crates/num/src"]
-
-[rule.metrics]
-scope = ["crates"]
-registry = "registry.txt"
-docs = ["DOCS.md"]
-baselines = ["baselines"]
-"#;
-
-const REGISTRY: &str = "counter good.counter\n";
-const DOCS: &str = "`good.counter` counts good things\n";
+/// A workspace whose only source file is `lib_rs`.
+fn single_file_root(lib_rs: &str) -> PathBuf {
+    workspace(&[(LIB, lib_rs)])
+}
 
 /// Runs the CLI driver against `root` and returns its exit code.
 fn lint_exit(root: &Path) -> u8 {
@@ -50,22 +49,30 @@ fn lint_exit(root: &Path) -> u8 {
     defender_lint::run(&args).unwrap()
 }
 
-/// A workspace whose only source file is `lib_rs`, with standard
-/// config/registry/docs.
-fn single_file_root(lib_rs: &str) -> PathBuf {
-    workspace(&[
-        ("lint.toml", CONFIG),
-        ("registry.txt", REGISTRY),
-        ("DOCS.md", DOCS),
-        ("crates/num/src/lib.rs", lib_rs),
-    ])
+/// The `(rule, path)` of every finding at `root`.
+fn findings(root: &Path) -> Vec<(String, String)> {
+    let report = defender_lint::lint(root).unwrap();
+    report
+        .findings
+        .into_iter()
+        .map(|f| (f.rule, f.path))
+        .collect()
 }
 
-const CLEAN: &str = "pub fn ok(x: i64) -> i64 {\n    defender_obs::counter!(\"good.counter\").incr();\n    x + 1\n}\n";
+const CLEAN: &str = "pub fn ok(x: i64) -> i64 {\n    x + 1\n}\n";
+
+/// A source emitting the one counter the metric fixtures register.
+const METERED: &str =
+    "pub fn ok(x: i64) -> i64 {\n    defender_obs::counter!(\"good.counter\").incr();\n    x + 1\n}\n";
+
+const GOOD_REGISTRY: &str = "counter good.counter\n";
+const GOOD_DOCS: &str = "`good.counter` counts good things\n";
 
 #[test]
 fn clean_workspace_exits_zero() {
     assert_eq!(lint_exit(&single_file_root(CLEAN)), 0);
+    let metered = workspace(&[(REGISTRY, GOOD_REGISTRY), (DOCS, GOOD_DOCS), (LIB, METERED)]);
+    assert_eq!(lint_exit(&metered), 0);
 }
 
 #[test]
@@ -103,15 +110,11 @@ fn unregistered_metric_exits_two() {
 
 #[test]
 fn orphaned_registry_entry_exits_two() {
-    // Registry declares a counter no code emits.
+    // The registry declares a counter no code emits.
     let root = workspace(&[
-        ("lint.toml", CONFIG),
-        (
-            "registry.txt",
-            "counter good.counter\ncounter ghost.counter\n",
-        ),
-        ("DOCS.md", "`good.counter` and `ghost.counter` documented\n"),
-        ("crates/num/src/lib.rs", CLEAN),
+        (REGISTRY, "counter good.counter\ncounter ghost.counter\n"),
+        (DOCS, "`good.counter` and `ghost.counter` documented\n"),
+        (LIB, METERED),
     ]);
     assert_eq!(lint_exit(&root), 2);
 }
@@ -119,10 +122,9 @@ fn orphaned_registry_entry_exits_two() {
 #[test]
 fn undocumented_counter_exits_two() {
     let root = workspace(&[
-        ("lint.toml", CONFIG),
-        ("registry.txt", REGISTRY),
-        ("DOCS.md", "nothing relevant here\n"),
-        ("crates/num/src/lib.rs", CLEAN),
+        (REGISTRY, GOOD_REGISTRY),
+        (DOCS, "nothing relevant here\n"),
+        (LIB, METERED),
     ]);
     assert_eq!(lint_exit(&root), 2);
 }
@@ -130,10 +132,9 @@ fn undocumented_counter_exits_two() {
 #[test]
 fn unknown_baseline_counter_exits_two() {
     let root = workspace(&[
-        ("lint.toml", CONFIG),
-        ("registry.txt", REGISTRY),
-        ("DOCS.md", DOCS),
-        ("crates/num/src/lib.rs", CLEAN),
+        (REGISTRY, GOOD_REGISTRY),
+        (DOCS, GOOD_DOCS),
+        (LIB, METERED),
         (
             "baselines/BENCH_x.json",
             "{\"experiment\": \"x\", \"phases\": [], \"counters\": {\"mystery.key\": 1}}\n",
@@ -172,152 +173,111 @@ fn json_format_reports_findings() {
 
 // ---- item-aware rule families (lint v2) ----
 
-/// Config exercising the v2 families: concurrency discipline, exact-path
-/// panic/cast gating, the unsafe and dependency audits.
-const CONFIG_V2: &str = r#"
-[rule.panic]
-scope = ["crates/num/src"]
-
-[rule.concurrency]
-scope = ["crates/num/src"]
-ordering_allow = ["crates/num/src/allowed"]
-spawn_allow = ["crates/num/src/allowed"]
-
-[rule.panic2]
-scope = ["crates/num/src"]
-
-[rule.cast]
-scope = ["crates/num/src"]
-
-[rule.unsafe]
-scope = ["crates"]
-
-[rule.deps]
-scope = ["crates"]
-"#;
-
-/// A workspace whose only source file is `lib_rs`, under the v2 config.
-fn v2_root(lib_rs: &str) -> PathBuf {
-    workspace(&[("lint.toml", CONFIG_V2), ("crates/num/src/lib.rs", lib_rs)])
-}
-
-#[test]
-fn relaxed_ordering_needs_annotation() {
-    let bad = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-               pub fn read(c: &AtomicU64) -> u64 {\n    c.load(Ordering::Relaxed)\n}\n";
-    assert_eq!(lint_exit(&v2_root(bad)), 2);
-    let annotated = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                     pub fn read(c: &AtomicU64) -> u64 {\n    \
-                     c.load(Ordering::Relaxed) // lint: allow(ordering) monotone counter\n}\n";
-    assert_eq!(lint_exit(&v2_root(annotated)), 0);
-    // An ordering_allow-listed file passes without per-site annotations.
-    let root = workspace(&[
-        ("lint.toml", CONFIG_V2),
-        ("crates/num/src/allowed/mod.rs", bad),
-    ]);
-    assert_eq!(lint_exit(&root), 0);
-}
-
-#[test]
-fn bare_lock_needs_poison_recovery() {
-    let bad = "use std::sync::Mutex;\npub fn get(m: &Mutex<u32>) -> u32 {\n    \
-               *m.lock().unwrap()\n}\n";
-    assert_eq!(lint_exit(&v2_root(bad)), 2);
-    let recovered = "use std::sync::Mutex;\npub fn get(m: &Mutex<u32>) -> u32 {\n    \
-                     *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)\n}\n";
-    assert_eq!(lint_exit(&v2_root(recovered)), 0);
-}
-
-#[test]
-fn thread_spawn_outside_allowed_crates_exits_two() {
-    let bad = "pub fn go() {\n    std::thread::spawn(|| {}).join().ok();\n}\n";
-    assert_eq!(lint_exit(&v2_root(bad)), 2);
-    let annotated = "pub fn go() {\n    \
-                     // lint: allow(spawn) one-shot helper; joined on the next line\n    \
-                     std::thread::spawn(|| {}).join().ok();\n}\n";
-    assert_eq!(lint_exit(&v2_root(annotated)), 0);
-}
-
 #[test]
 fn bare_index_gated_only_on_the_exact_path() {
     // `pick` mentions `Ratio`, so it is on the exact path: bare indexing
     // is a panic2 finding there...
     let exact = "pub struct Ratio;\npub fn pick(v: &[Ratio]) -> &Ratio {\n    &v[0]\n}\n";
-    assert_eq!(lint_exit(&v2_root(exact)), 2);
+    assert_eq!(lint_exit(&single_file_root(exact)), 2);
     // ...but the identical shape outside the exact path is none.
     let outside = "pub fn pick(v: &[u8]) -> u8 {\n    v[0]\n}\n";
-    assert_eq!(lint_exit(&v2_root(outside)), 0);
+    assert_eq!(lint_exit(&single_file_root(outside)), 0);
     let annotated = "pub struct Ratio;\npub fn pick(v: &[Ratio]) -> &Ratio {\n    \
                      &v[0] // lint: allow(index) callers pass non-empty slices\n}\n";
-    assert_eq!(lint_exit(&v2_root(annotated)), 0);
+    assert_eq!(lint_exit(&single_file_root(annotated)), 0);
 }
 
 #[test]
 fn narrowing_cast_exits_two() {
     // Narrow targets (u8..i32) are findings anywhere in scope.
     let bad = "pub fn shrink(x: u32) -> u8 {\n    x as u8\n}\n";
-    assert_eq!(lint_exit(&v2_root(bad)), 2);
+    assert_eq!(lint_exit(&single_file_root(bad)), 2);
     let annotated = "pub fn shrink(x: u32) -> u8 {\n    \
                      x as u8 // lint: allow(cast) callers pass values below 256\n}\n";
-    assert_eq!(lint_exit(&v2_root(annotated)), 0);
+    assert_eq!(lint_exit(&single_file_root(annotated)), 0);
     // Wide targets (u64/i64) are gated only inside exact-path fns.
     let wide_outside = "pub fn wide(x: u128) -> u64 {\n    x as u64\n}\n";
-    assert_eq!(lint_exit(&v2_root(wide_outside)), 0);
+    assert_eq!(lint_exit(&single_file_root(wide_outside)), 0);
     let wide_exact = "pub struct Ratio;\npub fn wide(_r: &Ratio, x: u128) -> u64 {\n    \
                       x as u64\n}\n";
-    assert_eq!(lint_exit(&v2_root(wide_exact)), 2);
-}
-
-#[test]
-fn unsafe_code_exits_two() {
-    let bad = "pub fn deref(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-    assert_eq!(lint_exit(&v2_root(bad)), 2);
-}
-
-#[test]
-fn external_dependency_exits_two() {
-    let external = workspace(&[
-        ("lint.toml", CONFIG_V2),
-        ("crates/num/src/lib.rs", "pub fn ok() {}\n"),
-        (
-            "crates/num/Cargo.toml",
-            "[package]\nname = \"fixture\"\n\n[dependencies]\nserde = \"1\"\n",
-        ),
-    ]);
-    assert_eq!(lint_exit(&external), 2);
-    let internal = workspace(&[
-        ("lint.toml", CONFIG_V2),
-        ("crates/num/src/lib.rs", "pub fn ok() {}\n"),
-        (
-            "crates/num/Cargo.toml",
-            "[package]\nname = \"fixture\"\n\n[dependencies]\n\
-             defender-obs = { path = \"../obs\" }\nother = { workspace = true }\n",
-        ),
-    ]);
-    assert_eq!(lint_exit(&internal), 0);
+    assert_eq!(lint_exit(&single_file_root(wide_exact)), 2);
 }
 
 #[test]
 fn stale_annotation_ages_into_a_finding() {
     // A well-formed allow that suppresses nothing is itself a finding.
     let stale = "pub fn fine() {} // lint: allow(panic) stale: nothing here panics\n";
-    assert_eq!(lint_exit(&v2_root(stale)), 2);
+    assert_eq!(lint_exit(&single_file_root(stale)), 2);
+}
+
+#[test]
+fn annotations_no_rule_consults_age_into_unused_allow() {
+    // No rule consults `ordering`, `lock` or `spawn`, so an annotation
+    // naming one suppresses nothing.
+    for id in ["ordering", "lock", "spawn"] {
+        let src = format!(
+            "use std::sync::atomic::{{AtomicU64, Ordering}};\n\
+             pub fn read(c: &AtomicU64) -> u64 {{\n    \
+             c.load(Ordering::Relaxed) // lint: allow({id}) monotone counter\n}}\n"
+        );
+        let root = single_file_root(&src);
+        assert_eq!(lint_exit(&root), 2, "allow({id})");
+        assert_eq!(
+            findings(&root),
+            vec![("unused_allow".to_string(), LIB.to_string())]
+        );
+    }
+}
+
+// ---- dependency audit ----
+
+#[test]
+fn registry_package_in_the_lockfile_exits_two() {
+    let lock = format!(
+        "{PATH_ONLY_LOCK}\n[[package]]\nname = \"serde\"\nversion = \"1.0.0\"\n\
+         source = \"registry+https://github.com/rust-lang/crates.io-index\"\n"
+    );
+    let root = workspace(&[(LIB, CLEAN), ("Cargo.lock", &lock)]);
+    assert_eq!(lint_exit(&root), 2);
+    assert_eq!(
+        findings(&root),
+        vec![("deps".to_string(), "Cargo.lock".to_string())]
+    );
+}
+
+#[test]
+fn member_manifest_must_inherit_the_workspace_lints() {
+    let package = "[package]\nname = \"defender-num\"\n\n";
+    let bare = format!("{package}[dependencies]\n");
+    let root = workspace(&[(LIB, CLEAN), ("crates/num/Cargo.toml", &bare)]);
+    assert_eq!(lint_exit(&root), 2);
+    assert_eq!(
+        findings(&root),
+        vec![("deps".to_string(), "crates/num/Cargo.toml".to_string())]
+    );
+    let inherits = format!("{package}[lints]\nworkspace = true\n\n[dependencies]\n");
+    let root = workspace(&[(LIB, CLEAN), ("crates/num/Cargo.toml", &inherits)]);
+    assert_eq!(lint_exit(&root), 0);
+    // A virtual root manifest has no targets of its own to reach.
+    let root = workspace(&[
+        (LIB, CLEAN),
+        ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+        ("crates/num/Cargo.toml", &inherits),
+    ]);
+    assert_eq!(lint_exit(&root), 0);
 }
 
 #[test]
 fn json_field_order_is_stable() {
     // The JSON report is a hand-assembled contract: downstream consumers
     // (and the docs) rely on this exact top-level field order.
-    let root = v2_root("pub fn ok() {}\n");
-    let config = defender_lint::config::Config::parse(CONFIG_V2).unwrap();
-    let report = defender_lint::lint(&root, &config).unwrap();
+    let report = defender_lint::lint(&single_file_root(CLEAN)).unwrap();
     let json = report.render_json();
     let keys = [
         "\"files_scanned\"",
         "\"findings\"",
         "\"panic\"",
         "\"panic2\"",
-        "\"concurrency\"",
     ];
     let positions: Vec<usize> = keys
         .iter()
@@ -330,30 +290,18 @@ fn json_field_order_is_stable() {
         positions.windows(2).all(|w| w[0] < w[1]),
         "top-level fields out of order: {json}"
     );
-    // The nested section orders are part of the same contract; anchor
-    // each search at its section so repeated keys ("annotated") resolve
-    // to the right object.
-    for (section, keys) in [
-        (
-            "\"panic2\"",
-            [
-                "\"exact_fns\"",
-                "\"sites_exact\"",
-                "\"annotated\"",
-                "\"sites_outside_exact\"",
-            ]
-            .as_slice(),
-        ),
-        (
-            "\"concurrency\"",
-            ["\"ordering_sites\"", "\"lock_sites\"", "\"spawn_sites\""].as_slice(),
-        ),
-    ] {
-        let start = json.find(section).unwrap();
-        let body = &json[start..];
-        let pos: Vec<usize> = keys.iter().map(|k| body.find(k).unwrap()).collect();
-        assert!(pos.windows(2).all(|w| w[0] < w[1]), "nested order: {json}");
-    }
+    // The nested order is part of the same contract; anchor the search at
+    // the section so the repeated "annotated" key resolves to the right
+    // object.
+    let body = &json[json.find("\"panic2\"").unwrap()..];
+    let nested = [
+        "\"exact_fns\"",
+        "\"sites_exact\"",
+        "\"annotated\"",
+        "\"sites_outside_exact\"",
+    ];
+    let pos: Vec<usize> = nested.iter().map(|k| body.find(k).unwrap()).collect();
+    assert!(pos.windows(2).all(|w| w[0] < w[1]), "nested order: {json}");
 }
 
 #[test]
@@ -362,11 +310,15 @@ fn exit_code_table() {
     assert_eq!(lint_exit(&single_file_root(CLEAN)), 0);
     // 2 — findings.
     assert_eq!(
-        lint_exit(&v2_root("pub fn bad(x: u32) -> u8 {\n    x as u8\n}\n")),
+        lint_exit(&single_file_root(
+            "pub fn bad(x: u32) -> u8 {\n    x as u8\n}\n"
+        )),
         2
     );
-    // 1 — usage and I/O errors surface as Err; the binary maps them to 1.
+    // 1 — usage and I/O errors surface as Err; `defender lint` maps them
+    // to 1. The scopes are built in, so there is no config flag to pass.
     assert!(defender_lint::run(&["--wat".to_string()]).is_err());
+    assert!(defender_lint::run(&["--config".to_string(), "lint.toml".to_string()]).is_err());
     assert!(defender_lint::run(&[
         "--root".to_string(),
         "/nonexistent/defender-lint-fixture".to_string()

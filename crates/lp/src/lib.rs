@@ -26,7 +26,6 @@
 //! assert_eq!(solution.row_strategy, vec![Ratio::new(1, 2), Ratio::new(1, 2)]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod linsolve;

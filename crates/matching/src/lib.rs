@@ -25,7 +25,6 @@
 //! assert_eq!(minimum_edge_cover(&g).unwrap().len(), 5); // ρ = n − μ
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod blossom;

@@ -19,7 +19,6 @@
 //! assert_eq!((a + b).to_f64(), 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod accum;

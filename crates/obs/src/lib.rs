@@ -47,7 +47,6 @@
 //! obs::reset();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod json;

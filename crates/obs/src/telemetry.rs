@@ -133,7 +133,7 @@ impl Event {
         let mut line = self.to_line();
         line.push('\n');
         let stdout = std::io::stdout();
-        let mut handle = stdout.lock(); // lint: allow(lock) stdout lock, not a poisonable mutex
+        let mut handle = stdout.lock();
         let _ = handle.write_all(line.as_bytes());
         let _ = handle.flush();
     }

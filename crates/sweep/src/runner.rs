@@ -445,7 +445,7 @@ impl Painter {
 
     fn draw(&mut self, monitor: &Monitor) {
         let rendered = monitor.render();
-        let mut err = std::io::stderr().lock(); // lint: allow(lock) stderr lock, not a poisonable mutex
+        let mut err = std::io::stderr().lock();
         if self.last_height > 0 {
             let _ = write!(err, "\x1b[{}A\x1b[J", self.last_height);
         }
@@ -462,7 +462,6 @@ impl Painter {
         if self.ansi {
             self.draw(monitor);
         } else {
-            // lint: allow(lock) stderr lock, not a poisonable mutex
             let _ = write!(std::io::stderr().lock(), "{}", monitor.render());
         }
     }
