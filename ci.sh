@@ -37,8 +37,7 @@ LINT_DIR="$(mktemp -d)"
 (cd "$LINT_DIR" && "$OLDPWD"/target/release/defender lint --root "$OLDPWD" --sidecar)
 target/release/defender bench diff \
   baselines/BENCH_lint.json \
-  "$LINT_DIR/BENCH_lint.json" \
-  --counters-only
+  "$LINT_DIR/BENCH_lint.json"
 rm -rf "$LINT_DIR"
 
 if [[ "${CI_MIRI:-0}" == "1" ]]; then
@@ -60,7 +59,7 @@ echo "== trace smoke test =="
 # silently skew every profile number downstream).
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-(cd "$SMOKE_DIR" && "$OLDPWD"/target/release/exp_e1_pure_frontier --profile --trace e1.json > /dev/null 2> /dev/null)
+(cd "$SMOKE_DIR" && "$OLDPWD"/target/release/exp e1 --profile --trace e1.json > /dev/null 2> /dev/null)
 target/release/defender bench validate-trace "$SMOKE_DIR/e1.json" --strict-drops
 
 echo "== profile analytics gate =="
@@ -70,14 +69,13 @@ echo "== profile analytics gate =="
 # is an end-to-end sanity gate on the obs -> trace -> profile pipeline.
 target/release/defender profile "$SMOKE_DIR/e1.json" > /dev/null
 # Span-level regression gate: the --sidecar profile (BENCH_profile_e1.json)
-# diffs against the committed baseline, counters only. The baseline is
+# diffs its counters against the committed baseline. The baseline is
 # pruned to the jobs-invariant `prof.calls.*` rows — self-times are
 # machine-sensitive and show up as informational NEW rows.
 (cd "$SMOKE_DIR" && "$OLDPWD"/target/release/defender profile e1.json --sidecar > /dev/null)
 target/release/defender bench diff \
   baselines/BENCH_profile_e1.json \
-  "$SMOKE_DIR/BENCH_profile_e1.json" \
-  --counters-only
+  "$SMOKE_DIR/BENCH_profile_e1.json"
 
 echo "== profile jobs-invariance check =="
 # The profile of a run must be independent of the pool width for every
@@ -87,8 +85,8 @@ echo "== profile jobs-invariance check =="
 # to differ and lives in the parallelism sidecar section instead).
 JOBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR"' EXIT
-(cd "$JOBS_DIR" && "$OLDPWD"/target/release/exp_e1_pure_frontier --jobs 1 --trace j1.json > /dev/null)
-(cd "$JOBS_DIR" && "$OLDPWD"/target/release/exp_e1_pure_frontier --jobs 4 --trace j4.json > /dev/null)
+(cd "$JOBS_DIR" && "$OLDPWD"/target/release/exp e1 --jobs 1 --trace j1.json > /dev/null)
+(cd "$JOBS_DIR" && "$OLDPWD"/target/release/exp e1 --jobs 4 --trace j4.json > /dev/null)
 target/release/defender profile "$JOBS_DIR/j1.json" --format json > "$JOBS_DIR/p1.json"
 target/release/defender profile "$JOBS_DIR/j4.json" --format json > "$JOBS_DIR/p4.json"
 for p in p1 p4; do
@@ -104,19 +102,18 @@ echo "== parallel suite smoke test =="
 # worker lanes (main thread + at least one worker).
 SUITE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR"' EXIT
-(cd "$SUITE_DIR" && "$OLDPWD"/target/release/run_all_experiments --jobs 2 --trace trace.json > /dev/null)
+(cd "$SUITE_DIR" && "$OLDPWD"/target/release/exp all --jobs 2 --trace trace.json > /dev/null)
 target/release/defender bench validate-trace "$SUITE_DIR/trace.json" --min-threads 2
 
 echo "== bench regression gate =="
 # Compare the sidecar the smoke run just wrote against the committed
-# baseline, judging only the deterministic counters: wall times are
-# machine-sensitive (a slower CI runner is not a regression), while
-# counters are exact algorithm work. Same-machine comparisons can rerun
-# this without --counters-only for the time-aware gate.
+# baseline. `bench diff` judges only the deterministic counters, which
+# are exact algorithm work; wall time is machine-sensitive (a slower CI
+# runner is not a regression) and is the repository benchmark's job
+# (perfbench/, bounds in BENCHMARK.json).
 target/release/defender bench diff \
   baselines/BENCH_e1_pure_frontier.json \
-  "$SMOKE_DIR/BENCH_e1_pure_frontier.json" \
-  --counters-only
+  "$SMOKE_DIR/BENCH_e1_pure_frontier.json"
 
 # Second baseline: the value atlas drives the support-enumeration and
 # deferred-reduction kernels, so its sidecar pins `se.pairs_tested` /
@@ -125,8 +122,7 @@ target/release/defender bench diff \
 # fresh sidecar.
 target/release/defender bench diff \
   baselines/BENCH_e15_value_atlas.json \
-  "$SUITE_DIR/BENCH_e15_value_atlas.json" \
-  --counters-only
+  "$SUITE_DIR/BENCH_e15_value_atlas.json"
 
 echo "== sweep shard-width identity gate =="
 # Run E1 as a sharded sweep at widths 1 and 3: the merged sidecars'
@@ -193,8 +189,8 @@ echo "== equilibrium cache gate =="
 CACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR"' EXIT
 mkdir "$CACHE_DIR/cold" "$CACHE_DIR/warm"
-(cd "$CACHE_DIR/cold" && "$OLDPWD"/target/release/exp_e15_value_atlas --cache "$CACHE_DIR/memo" > /dev/null)
-(cd "$CACHE_DIR/warm" && "$OLDPWD"/target/release/exp_e15_value_atlas --cache "$CACHE_DIR/memo" > /dev/null)
+(cd "$CACHE_DIR/cold" && "$OLDPWD"/target/release/exp e15 --cache "$CACHE_DIR/memo" > /dev/null)
+(cd "$CACHE_DIR/warm" && "$OLDPWD"/target/release/exp e15 --cache "$CACHE_DIR/memo" > /dev/null)
 for r in cold warm; do
   grep -o '"counters": {[^}]*}' "$CACHE_DIR/$r/BENCH_e15_value_atlas.json" \
     > "$CACHE_DIR/$r.counters"
@@ -254,8 +250,7 @@ diff "$SERVE_DIR/cold.counters" "$SERVE_DIR/warm.counters"
 # fixed seeded load mix is an algorithmic regression.
 target/release/defender bench diff \
   baselines/BENCH_serve.json \
-  "$SERVE_DIR/cold/BENCH_serve.json" \
-  --counters-only
+  "$SERVE_DIR/cold/BENCH_serve.json"
 
 echo "== serve overload gate =="
 # A tiny queue and a long batch window force the load governor's hand:

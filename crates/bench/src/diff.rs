@@ -1,49 +1,37 @@
-//! `bench diff` — the regression gate over `BENCH_*.json` sidecars.
+//! `bench diff` — the counter regression gate over `BENCH_*.json` sidecars.
 //!
 //! Every experiment writes a sidecar ([`crate::RunReport`]) recording its
 //! per-phase wall time and the harvested counter registry. This module
 //! loads two of them — a committed baseline and a fresh run — compares
-//! phase-by-phase and counter-by-counter, and renders a verdict table.
-//! A phase or counter that grew beyond the configured threshold is a
-//! **regression**; the CLI (`defender bench diff`) turns any regression
-//! into a non-zero exit, which is what lets CI enforce the ROADMAP's
-//! "measurably faster PR over PR" promise instead of merely hoping.
+//! them counter by counter, and renders a verdict table. Counters are
+//! deterministic algorithm work (simplex pivots, blossom augmentations),
+//! so a counter that grew by more than [`THRESHOLD`] — or appeared from
+//! zero — is a **regression**, and the CLI (`defender bench diff`) turns
+//! any regression into a non-zero exit. A baseline counter *missing* from
+//! the fresh run also fails ([`Verdict::Orphaned`]): a gate that silently
+//! stops measuring a quantity would pass forever after, so lost
+//! instrumentation must be acknowledged by refreshing the baseline.
 //!
-//! Wall-clock comparisons are noisy, so two knobs keep the gate honest:
-//!
-//! - `threshold`: relative growth tolerated before a row regresses
-//!   (default 20%; CI uses a much looser value so machine variance
-//!   doesn't flake the build);
-//! - `noise_floor_seconds`: phases where *both* sides are below this are
-//!   never judged (default 1 ms — a 3 µs phase doubling is not signal).
-//!
-//! Counters are deterministic algorithm work (simplex pivots, blossom
-//! augmentations), so they get no noise floor: any growth beyond the
-//! threshold — or a counter appearing from zero — is a real change in
-//! work done. A baseline counter *missing* from the fresh run is also a
-//! failure ([`Verdict::Orphaned`]): a gate that silently stops measuring
-//! a quantity would pass forever after, so lost instrumentation must be
-//! acknowledged by refreshing the baseline, not ignored.
+//! Phase wall times depend on the machine, so the gate never judges them;
+//! same-machine wall time is the repository benchmark's job (`perfbench/`,
+//! with its bounds in `BENCHMARK.json`).
 
 use std::path::Path;
 
-use defender_obs::json::{self, JsonArray, JsonObject, JsonValue};
+use defender_obs::json::{self, JsonValue};
 
 use crate::Table;
 
-/// Default relative-growth tolerance (20%).
-pub const DEFAULT_THRESHOLD: f64 = 0.20;
-
-/// Default wall-time noise floor in seconds (phases faster than this on
-/// both sides are never judged).
-pub const DEFAULT_NOISE_FLOOR_SECONDS: f64 = 0.001;
+/// Relative counter growth tolerated before a counter regresses (20%).
+pub const THRESHOLD: f64 = 0.20;
 
 /// A parsed `BENCH_<experiment>.json` sidecar.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sidecar {
     /// The experiment name recorded by the run.
     pub experiment: String,
-    /// Phases in recorded order as `(name, wall_seconds)`.
+    /// Phases in recorded order as `(name, wall_seconds)`. Sweeps merge
+    /// them; the gate never judges them.
     pub phases: Vec<(String, f64)>,
     /// Harvested counters as `(name, value)`.
     pub counters: Vec<(String, u64)>,
@@ -126,49 +114,19 @@ impl Sidecar {
     }
 }
 
-/// Tuning for [`diff`]; see the module docs for the semantics.
-#[derive(Clone, Copy, Debug)]
-pub struct DiffConfig {
-    /// Relative growth tolerated before a row counts as regressed.
-    pub threshold: f64,
-    /// Wall-time floor below which phases are never judged.
-    pub noise_floor_seconds: f64,
-    /// Skip the wall-clock phases entirely and judge only the
-    /// deterministic counters. Wall time is machine-sensitive — a CI
-    /// runner slower than the machine that recorded the baseline fails
-    /// the gate without any code change — whereas counters are exact
-    /// algorithm work. CI uses this mode; same-machine comparisons keep
-    /// the time-aware gate.
-    pub counters_only: bool,
-}
-
-impl Default for DiffConfig {
-    fn default() -> DiffConfig {
-        DiffConfig {
-            threshold: DEFAULT_THRESHOLD,
-            noise_floor_seconds: DEFAULT_NOISE_FLOOR_SECONDS,
-            counters_only: false,
-        }
-    }
-}
-
-/// The judgement for one compared row.
+/// The judgement for one compared counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within tolerance (or under the noise floor).
+    /// Within tolerance.
     Ok,
     /// Shrunk beyond the threshold — the good direction.
     Improved,
-    /// Grew beyond the threshold — fails the gate.
+    /// Grew beyond the threshold, or appeared from zero — fails the gate.
     Regressed,
-    /// A *phase* present in the baseline, absent in the current run
-    /// (warning only — renames and removed phases are not regressions).
-    MissingInCurrent,
-    /// A *counter* present in the baseline, absent in the current run —
-    /// fails the gate. Counters are deterministic algorithm work; one
-    /// disappearing means instrumentation was dropped (or the baseline is
-    /// stale), and a gate that silently stops measuring a quantity would
-    /// pass forever after.
+    /// Present in the baseline, absent in the current run — fails the
+    /// gate. A vanished counter means instrumentation was dropped (or the
+    /// baseline is stale), and a gate that silently stops measuring a
+    /// quantity would pass forever after.
     Orphaned,
     /// Present only in the current run (informational).
     NewInCurrent,
@@ -180,34 +138,32 @@ impl Verdict {
             Verdict::Ok => "ok",
             Verdict::Improved => "improved",
             Verdict::Regressed => "REGRESSED",
-            Verdict::MissingInCurrent => "missing",
             Verdict::Orphaned => "ORPHANED",
             Verdict::NewInCurrent => "new",
         }
     }
 }
 
-/// One compared phase or counter.
+/// One compared counter.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
-    /// `"phase"` or `"counter"`.
-    pub section: &'static str,
-    /// Phase or counter name.
+    /// Counter name.
     pub name: String,
-    /// Baseline value (seconds for phases, raw count for counters).
-    pub baseline: Option<f64>,
-    /// Current value, same unit as `baseline`.
-    pub current: Option<f64>,
+    /// Baseline value.
+    pub baseline: Option<u64>,
+    /// Current value.
+    pub current: Option<u64>,
     /// The judgement.
     pub verdict: Verdict,
 }
 
 impl DiffRow {
-    /// `current / baseline` when both sides are present and non-zero.
+    /// `current / baseline` when both sides are present and the baseline
+    /// is non-zero.
     #[must_use]
     pub fn ratio(&self) -> Option<f64> {
         match (self.baseline, self.current) {
-            (Some(b), Some(c)) if b > 0.0 => Some(c / b),
+            (Some(b), Some(c)) if b > 0 => Some(c as f64 / b as f64),
             _ => None,
         }
     }
@@ -218,51 +174,30 @@ impl DiffRow {
 pub struct DiffReport {
     /// The experiment name (from the baseline).
     pub experiment: String,
-    /// All compared rows, phases first.
+    /// One row per counter: baseline order, then current-only counters.
     pub rows: Vec<DiffRow>,
-    /// The tolerance the verdicts were judged against.
-    pub config: DiffConfig,
 }
 
 impl DiffReport {
-    /// Number of rows that fail the gate.
+    /// Number of counters judged `verdict`.
     #[must_use]
-    pub fn regressions(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.verdict == Verdict::Regressed)
-            .count()
-    }
-
-    /// Number of baseline counters absent from the current run.
-    #[must_use]
-    pub fn orphans(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.verdict == Verdict::Orphaned)
-            .count()
+    pub fn count(&self, verdict: Verdict) -> usize {
+        self.rows.iter().filter(|r| r.verdict == verdict).count()
     }
 
     /// Whether the gate passes (no regressions and no orphaned counters).
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions() == 0 && self.orphans() == 0
+        self.count(Verdict::Regressed) == 0 && self.count(Verdict::Orphaned) == 0
     }
 
     /// Renders the verdict table plus a one-line summary.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "kind", "name", "baseline", "current", "ratio", "verdict",
-        ]);
+        let mut table = Table::new(vec!["counter", "baseline", "current", "ratio", "verdict"]);
+        let fmt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
         for row in &self.rows {
-            let fmt = |v: Option<f64>| match v {
-                None => "-".to_string(),
-                Some(v) if row.section == "phase" => format!("{v:.6}s"),
-                Some(v) => format!("{v:.0}"),
-            };
             table.row(vec![
-                row.section.to_string(),
                 row.name.clone(),
                 fmt(row.baseline),
                 fmt(row.current),
@@ -270,29 +205,21 @@ impl DiffReport {
                 row.verdict.label().to_string(),
             ]);
         }
-        let mut out = format!("bench diff: {} (threshold ", self.experiment);
-        if self.config.counters_only {
-            out.push_str(&format!(
-                "+{:.0}%, counters only — wall time not judged)\n",
-                self.config.threshold * 100.0
-            ));
-        } else {
-            out.push_str(&format!(
-                "+{:.0}%, noise floor {:.3}s)\n",
-                self.config.threshold * 100.0,
-                self.config.noise_floor_seconds
-            ));
-        }
+        let mut out = format!(
+            "bench diff: {} (counters, threshold +{:.0}%)\n",
+            self.experiment,
+            THRESHOLD * 100.0
+        );
         out.push_str(&table.render());
-        let regressions = self.regressions();
-        let orphans = self.orphans();
+        let regressions = self.count(Verdict::Regressed);
+        let orphans = self.count(Verdict::Orphaned);
         if regressions == 0 && orphans == 0 {
-            out.push_str("verdict: PASS — no phase or counter regressed\n");
+            out.push_str("verdict: PASS — no counter regressed\n");
         } else {
             let mut causes = Vec::new();
             if regressions > 0 {
                 causes.push(format!(
-                    "{regressions} row(s) regressed beyond the threshold"
+                    "{regressions} counter(s) regressed beyond the threshold"
                 ));
             }
             if orphans > 0 {
@@ -304,65 +231,11 @@ impl DiffReport {
         }
         out
     }
-
-    /// The report as one line of stable JSON (the `--format json` output
-    /// of `defender bench diff`), so the sweep monitor and CI can consume
-    /// gate results without grepping the table.
-    ///
-    /// Field-order contract (stable across releases; consumers may key on
-    /// names but the order will not shift under them):
-    ///
-    /// 1. `experiment` — string;
-    /// 2. `config` — object with `threshold`, `noise_floor_seconds`,
-    ///    `counters_only`, in that order;
-    /// 3. `rows` — array in table order (phases before counters, baseline
-    ///    order within a section, current-only rows last); each row holds
-    ///    `kind`, `name`, `baseline`, `current`, `ratio`, `verdict`, in
-    ///    that order, with `null` for an absent side or undefined ratio.
-    ///    `verdict` uses the table labels (`ok`, `improved`, `REGRESSED`,
-    ///    `missing`, `ORPHANED`, `new`);
-    /// 4. `regressions`, `orphans` — row counts;
-    /// 5. `passed` — the gate outcome.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut config = JsonObject::new();
-        config.field_f64("threshold", self.config.threshold);
-        config.field_f64("noise_floor_seconds", self.config.noise_floor_seconds);
-        config.field_bool("counters_only", self.config.counters_only);
-        let mut rows = JsonArray::new();
-        for row in &self.rows {
-            let mut r = JsonObject::new();
-            r.field_str("kind", row.section);
-            r.field_str("name", &row.name);
-            let side = |r: &mut JsonObject, key: &str, value: Option<f64>| {
-                match value {
-                    Some(v) => r.field_f64(key, v),
-                    None => r.field_raw(key, "null"),
-                };
-            };
-            side(&mut r, "baseline", row.baseline);
-            side(&mut r, "current", row.current);
-            side(&mut r, "ratio", row.ratio());
-            r.field_str("verdict", row.verdict.label());
-            rows.push_raw(&r.finish());
-        }
-        let mut root = JsonObject::new();
-        root.field_str("experiment", &self.experiment);
-        root.field_raw("config", &config.finish());
-        root.field_raw("rows", &rows.finish());
-        root.field_u64("regressions", self.regressions() as u64);
-        root.field_u64("orphans", self.orphans() as u64);
-        root.field_bool("passed", self.passed());
-        root.finish()
-    }
 }
 
-fn judge(baseline: f64, current: f64, config: &DiffConfig, noisy: bool) -> Verdict {
-    if noisy && baseline < config.noise_floor_seconds && current < config.noise_floor_seconds {
-        return Verdict::Ok;
-    }
-    if baseline == 0.0 {
-        return if current == 0.0 {
+fn judge(baseline: u64, current: u64) -> Verdict {
+    if baseline == 0 {
+        return if current == 0 {
             Verdict::Ok
         } else {
             // Work appearing from nothing cannot be expressed as a ratio;
@@ -370,52 +243,35 @@ fn judge(baseline: f64, current: f64, config: &DiffConfig, noisy: bool) -> Verdi
             Verdict::Regressed
         };
     }
-    let ratio = current / baseline;
-    if ratio > 1.0 + config.threshold {
+    let ratio = current as f64 / baseline as f64;
+    if ratio > 1.0 + THRESHOLD {
         Verdict::Regressed
-    } else if ratio < 1.0 - config.threshold {
+    } else if ratio < 1.0 - THRESHOLD {
         Verdict::Improved
     } else {
         Verdict::Ok
     }
 }
 
-fn compare_section(
-    rows: &mut Vec<DiffRow>,
-    section: &'static str,
-    baseline: &[(String, f64)],
-    current: &[(String, f64)],
-    config: &DiffConfig,
-) {
-    let noisy = section == "phase";
-    for (name, base) in baseline {
-        match current.iter().find(|(n, _)| n == name) {
-            Some((_, cur)) => rows.push(DiffRow {
-                section,
-                name: name.clone(),
-                baseline: Some(*base),
-                current: Some(*cur),
-                verdict: judge(*base, *cur, config, noisy),
-            }),
-            None => rows.push(DiffRow {
-                section,
-                name: name.clone(),
-                baseline: Some(*base),
-                current: None,
-                // Dropped phases are renames or restructuring (warn);
-                // dropped counters mean lost instrumentation (fail).
-                verdict: if noisy {
-                    Verdict::MissingInCurrent
-                } else {
-                    Verdict::Orphaned
-                },
-            }),
-        }
+/// Compares the counters of two sidecars; phases are not judged.
+#[must_use]
+pub fn diff(baseline: &Sidecar, current: &Sidecar) -> DiffReport {
+    let lookup = |counters: &[(String, u64)], name: &str| {
+        counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    };
+    let mut rows = Vec::new();
+    for (name, base) in &baseline.counters {
+        let current = lookup(&current.counters, name);
+        rows.push(DiffRow {
+            name: name.clone(),
+            baseline: Some(*base),
+            current,
+            verdict: current.map_or(Verdict::Orphaned, |cur| judge(*base, cur)),
+        });
     }
-    for (name, cur) in current {
-        if !baseline.iter().any(|(n, _)| n == name) {
+    for (name, cur) in &current.counters {
+        if lookup(&baseline.counters, name).is_none() {
             rows.push(DiffRow {
-                section,
                 name: name.clone(),
                 baseline: None,
                 current: Some(*cur),
@@ -423,35 +279,9 @@ fn compare_section(
             });
         }
     }
-}
-
-/// Compares two sidecars under `config`; phases first, then counters.
-#[must_use]
-pub fn diff(baseline: &Sidecar, current: &Sidecar, config: DiffConfig) -> DiffReport {
-    let mut rows = Vec::new();
-    if !config.counters_only {
-        compare_section(
-            &mut rows,
-            "phase",
-            &baseline.phases,
-            &current.phases,
-            &config,
-        );
-    }
-    let to_f64 = |cs: &[(String, u64)]| -> Vec<(String, f64)> {
-        cs.iter().map(|(n, v)| (n.clone(), *v as f64)).collect()
-    };
-    compare_section(
-        &mut rows,
-        "counter",
-        &to_f64(&baseline.counters),
-        &to_f64(&current.counters),
-        &config,
-    );
     DiffReport {
         experiment: baseline.experiment.clone(),
         rows,
-        config,
     }
 }
 
@@ -459,10 +289,10 @@ pub fn diff(baseline: &Sidecar, current: &Sidecar, config: DiffConfig) -> DiffRe
 mod tests {
     use super::*;
 
-    fn sidecar(phases: &[(&str, f64)], counters: &[(&str, u64)]) -> Sidecar {
+    fn sidecar(counters: &[(&str, u64)]) -> Sidecar {
         Sidecar {
             experiment: "e_test".to_string(),
-            phases: phases.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+            phases: Vec::new(),
             counters: counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             parallelism: Vec::new(),
         }
@@ -470,48 +300,31 @@ mod tests {
 
     #[test]
     fn identical_sidecars_pass() {
-        let s = sidecar(&[("sweep", 1.0)], &[("lp.pivots", 100)]);
-        let report = diff(&s, &s.clone(), DiffConfig::default());
+        let s = sidecar(&[("lp.pivots", 100)]);
+        let report = diff(&s, &s.clone());
         assert!(report.passed());
         assert!(report.render().contains("PASS"));
     }
 
     #[test]
-    fn injected_2x_phase_regression_fails() {
-        let base = sidecar(&[("sweep", 1.0), ("verify", 0.5)], &[]);
-        let cur = sidecar(&[("sweep", 2.0), ("verify", 0.5)], &[]);
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert_eq!(report.regressions(), 1);
-        assert!(!report.passed());
-        let rendered = report.render();
-        assert!(rendered.contains("REGRESSED") && rendered.contains("2.00x"));
-    }
-
-    #[test]
     fn threshold_is_respected() {
-        let base = sidecar(&[("sweep", 1.0)], &[]);
-        let cur = sidecar(&[("sweep", 1.15)], &[]);
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
-        let tight = DiffConfig {
-            threshold: 0.10,
-            ..DiffConfig::default()
-        };
-        assert!(!diff(&base, &cur, tight).passed());
-    }
-
-    #[test]
-    fn noise_floor_shields_micro_phases() {
-        let base = sidecar(&[("blink", 0.00001)], &[]);
-        let cur = sidecar(&[("blink", 0.00009)], &[]);
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
+        let base = sidecar(&[("lp.pivots", 100)]);
+        assert!(diff(&base, &sidecar(&[("lp.pivots", 115)])).passed());
+        let report = diff(&base, &sidecar(&[("lp.pivots", 121)]));
+        assert_eq!(report.count(Verdict::Regressed), 1);
+        let rendered = report.render();
+        assert!(
+            rendered.contains("REGRESSED") && rendered.contains("1.21x"),
+            "{rendered}"
+        );
     }
 
     #[test]
     fn counters_have_no_noise_floor_and_flag_growth() {
-        let base = sidecar(&[], &[("lp.pivots", 100), ("new.work", 0)]);
-        let cur = sidecar(&[], &[("lp.pivots", 150), ("new.work", 5)]);
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert_eq!(report.regressions(), 2, "{}", report.render());
+        let base = sidecar(&[("lp.pivots", 100), ("new.work", 0)]);
+        let cur = sidecar(&[("lp.pivots", 150), ("new.work", 5)]);
+        let report = diff(&base, &cur);
+        assert_eq!(report.count(Verdict::Regressed), 2, "{}", report.render());
     }
 
     #[test]
@@ -522,68 +335,62 @@ mod tests {
         // a cache-less binary drops them entirely → ORPHANED too. That is
         // exactly why `RunReport::is_execution_shape` routes `cache.*`
         // into the unjudged parallelism section.
-        let base = sidecar(&[], &[("lp.simplex.pivots", 100), ("cache.misses", 728)]);
-        let cur = sidecar(&[], &[("lp.simplex.pivots", 100)]);
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert_eq!(report.orphans(), 1);
+        let base = sidecar(&[("lp.simplex.pivots", 100), ("cache.misses", 728)]);
+        let cur = sidecar(&[("lp.simplex.pivots", 100)]);
+        let report = diff(&base, &cur);
+        assert_eq!(report.count(Verdict::Orphaned), 1);
         assert!(!report.passed());
         assert!(report.render().contains("ORPHANED"), "{}", report.render());
 
         // Segregated, the same comparison is clean: cache.* lives in the
         // parallelism section, which the gate never judges.
-        let mut warm = sidecar(&[], &[("lp.simplex.pivots", 100)]);
+        let mut warm = sidecar(&[("lp.simplex.pivots", 100)]);
         warm.parallelism = vec![
             ("cache.canon_ns".to_string(), 123_456),
             ("cache.hits".to_string(), 728),
             ("cache.misses".to_string(), 0),
         ];
-        let mut cold = sidecar(&[], &[("lp.simplex.pivots", 100)]);
+        let mut cold = sidecar(&[("lp.simplex.pivots", 100)]);
         cold.parallelism = vec![
             ("cache.canon_ns".to_string(), 654_321),
             ("cache.hits".to_string(), 0),
             ("cache.misses".to_string(), 728),
         ];
-        let report = diff(&cold, &warm, DiffConfig::default());
+        let report = diff(&cold, &warm);
         assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.orphans(), 0);
+        assert_eq!(report.count(Verdict::Orphaned), 0);
     }
 
     #[test]
     fn missing_and_new_rows_warn_without_failing() {
-        let base = sidecar(&[("old_phase", 1.0)], &[]);
-        let cur = sidecar(&[("new_phase", 1.0)], &[]);
-        let report = diff(&base, &cur, DiffConfig::default());
+        let base = sidecar(&[("lp.pivots", 100)]);
+        let cur = sidecar(&[("lp.pivots", 100), ("se.supports", 7)]);
+        let report = diff(&base, &cur);
         assert!(report.passed());
-        let rendered = report.render();
-        assert!(rendered.contains("missing") && rendered.contains("new"));
+        assert_eq!(report.rows[1].verdict, Verdict::NewInCurrent);
+        assert!(report.render().contains("new"));
     }
 
     #[test]
     fn baseline_counter_missing_from_current_fails() {
-        let base = sidecar(&[], &[("lp.pivots", 100), ("se.supports", 7)]);
-        let cur = sidecar(&[], &[("lp.pivots", 100)]);
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert_eq!(report.orphans(), 1);
-        assert_eq!(report.regressions(), 0);
+        let base = sidecar(&[("lp.pivots", 100), ("se.supports", 7)]);
+        let cur = sidecar(&[("lp.pivots", 100)]);
+        let report = diff(&base, &cur);
+        assert_eq!(report.count(Verdict::Orphaned), 1);
+        assert_eq!(report.count(Verdict::Regressed), 0);
         assert!(!report.passed());
         let rendered = report.render();
         assert!(
             rendered.contains("ORPHANED") && rendered.contains("missing from the current run"),
             "{rendered}"
         );
-        // counters-only mode (the CI gate) must also catch it.
-        let config = DiffConfig {
-            counters_only: true,
-            ..DiffConfig::default()
-        };
-        assert!(!diff(&base, &cur, config).passed());
     }
 
     #[test]
     fn improvements_are_reported() {
-        let base = sidecar(&[("sweep", 2.0)], &[]);
-        let cur = sidecar(&[("sweep", 1.0)], &[]);
-        let report = diff(&base, &cur, DiffConfig::default());
+        let base = sidecar(&[("lp.pivots", 200)]);
+        let cur = sidecar(&[("lp.pivots", 100)]);
+        let report = diff(&base, &cur);
         assert!(report.passed());
         assert!(report.render().contains("improved"));
     }
@@ -598,76 +405,6 @@ mod tests {
         assert_eq!(parsed.phases.len(), 1);
         assert!((parsed.phases[0].1 - 1.5).abs() < 1e-9);
         assert_eq!(parsed.counters, vec![("lp.pivots".to_string(), 42)]);
-    }
-
-    #[test]
-    fn counters_only_ignores_phase_regressions() {
-        // A machine-speed "regression": phases doubled, counters exact.
-        let base = sidecar(&[("sweep", 1.0)], &[("lp.pivots", 100)]);
-        let cur = sidecar(&[("sweep", 2.0)], &[("lp.pivots", 100)]);
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-        let config = DiffConfig {
-            counters_only: true,
-            ..DiffConfig::default()
-        };
-        let report = diff(&base, &cur, config);
-        assert!(report.passed(), "{}", report.render());
-        assert!(report.rows.iter().all(|r| r.section == "counter"));
-        assert!(report.render().contains("counters only"));
-    }
-
-    #[test]
-    fn counters_only_still_gates_counter_growth() {
-        let base = sidecar(&[("sweep", 1.0)], &[("lp.pivots", 100)]);
-        let cur = sidecar(&[("sweep", 1.0)], &[("lp.pivots", 200)]);
-        let config = DiffConfig {
-            counters_only: true,
-            ..DiffConfig::default()
-        };
-        assert!(!diff(&base, &cur, config).passed());
-    }
-
-    #[test]
-    fn json_report_follows_the_field_order_contract() {
-        let base = sidecar(&[("sweep", 1.0)], &[("lp.pivots", 100), ("gone", 5)]);
-        let cur = sidecar(&[("sweep", 2.0)], &[("lp.pivots", 100)]);
-        let report = diff(&base, &cur, DiffConfig::default());
-        let text = report.to_json();
-        // Top-level order: experiment, config, rows, regressions, orphans, passed.
-        let order = [
-            "\"experiment\"",
-            "\"config\"",
-            "\"rows\"",
-            "\"regressions\"",
-            "\"orphans\"",
-            "\"passed\"",
-        ];
-        let mut last = 0;
-        for key in order {
-            let at = text.find(key).unwrap_or_else(|| panic!("{key} in {text}"));
-            assert!(at >= last, "{key} out of order in {text}");
-            last = at;
-        }
-        // Rows carry kind..verdict in order, null for absent sides.
-        assert!(
-            text.contains(r#"{"kind": "phase", "name": "sweep", "baseline": 1, "current": 2, "ratio": 2, "verdict": "REGRESSED"}"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#""name": "gone", "baseline": 5, "current": null, "ratio": null, "verdict": "ORPHANED""#),
-            "{text}"
-        );
-        assert!(text.ends_with(r#""passed": false}"#), "{text}");
-        // The document round-trips through the workspace parser.
-        let doc = json::parse(&text).unwrap();
-        assert_eq!(doc.get("regressions").and_then(JsonValue::as_u64), Some(1));
-        assert_eq!(doc.get("orphans").and_then(JsonValue::as_u64), Some(1));
-        assert_eq!(
-            doc.get("rows")
-                .and_then(JsonValue::as_array)
-                .map(<[_]>::len),
-            Some(report.rows.len())
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One module per experiment of DESIGN.md §4. Each exposes a `run()` that
 //! prints its table/series to stdout and panics if the paper's predicted
-//! shape fails (so `run_all_experiments` doubles as a reproduction gate).
+//! shape fails (so `exp all` doubles as a reproduction gate). The `exp`
+//! binary maps the names `e1` … `e15` to these functions.
 
 pub mod common;
 pub mod e10_covering;

@@ -3,8 +3,8 @@
 //! The paper is pure theory, so "tables and figures" are its theorems;
 //! every module under [`experiments`] regenerates one of them empirically
 //! (see DESIGN.md §4 for the index and EXPERIMENTS.md for recorded
-//! outcomes). Each `exp_*` binary is a thin wrapper over the matching
-//! `experiments::eN::run` function; `run_all_experiments` chains them.
+//! outcomes). The `exp` binary runs one of them by name (`exp e1`) or
+//! all of them in order (`exp all`) through [`experiment_main`].
 
 pub mod cache;
 pub mod diff;
@@ -18,7 +18,7 @@ pub use timing::{linear_fit, median_time};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Whether `--profile` was passed to the running experiment binary.
+/// Whether `--profile` was passed to the running `exp`.
 /// Consulted by [`RunReport::harvest_and_write`] (append the in-process
 /// profile to the sidecar) and by the heartbeat reporters in the sweep
 /// loops.
@@ -30,8 +30,9 @@ pub fn profiling_enabled() -> bool {
     PROFILING.load(Ordering::Relaxed)
 }
 
-/// Shared entry point for every `exp_*` binary: parses the flags all
-/// experiments share, runs the experiment, and exports artifacts.
+/// Shared entry point of the `exp` binary: parses the flags all
+/// experiments share, runs experiment `name` (`run`), and exports
+/// artifacts.
 ///
 /// Supported flags:
 ///
@@ -49,7 +50,8 @@ pub fn profiling_enabled() -> bool {
 /// - `--shard <i>/<N>` — run only shard `i` of an `N`-way corpus
 ///   partition (see [`shard::window`]); used by `defender sweep` to
 ///   split one experiment across worker processes. Merged counters over
-///   all `N` shards are byte-identical to a single-process run.
+///   all `N` shards are byte-identical to a single-process run. Only the
+///   experiments in [`shard::WINDOWED`] accept it.
 /// - `--cache <DIR>` — memoize exact equilibrium solves keyed by the
 ///   instance's canonical graph form (see `defender-cache`), persisting
 ///   the memo as a JSON sidecar in `DIR`. A warm cache makes repeat runs
@@ -63,15 +65,14 @@ pub fn profiling_enabled() -> bool {
 ///
 /// Exits with status 2 on a usage or export error (experiment assertion
 /// failures panic, as before).
-pub fn experiment_main(run: impl FnOnce()) {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(message) = experiment_main_with(&argv, run) {
+pub fn experiment_main(name: &str, flags: &[String], run: impl FnOnce()) {
+    if let Err(message) = experiment_main_with(name, flags, run) {
         eprintln!("error: {message}");
         std::process::exit(2);
     }
 }
 
-fn experiment_main_with(argv: &[String], run: impl FnOnce()) -> Result<(), String> {
+fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Result<(), String> {
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut profile = false;
     let mut telemetry = false;
@@ -113,11 +114,17 @@ fn experiment_main_with(argv: &[String], run: impl FnOnce()) -> Result<(), Strin
     }
     PROFILING.store(profile, Ordering::Relaxed);
     if let Some((index, total)) = shard_spec {
+        if !shard::WINDOWED.contains(&name) {
+            return Err(format!(
+                "experiment `{name}` does not window its corpus, so `--shard` would run \
+                 all of it in every shard (shardable: {})",
+                shard::WINDOWED.join(", ")
+            ));
+        }
         shard::set_shard(index, total)?;
     }
     if telemetry {
-        let (index, total) = shard_spec.unwrap_or((0, 1));
-        defender_obs::telemetry::enable_for_shard(index, total);
+        defender_obs::telemetry::enable();
     }
     if trace_path.is_some() || profile {
         defender_obs::trace::start();
@@ -214,7 +221,7 @@ mod tests {
     #[test]
     fn jobs_flag_sets_the_pool_width() {
         let mut ran = false;
-        experiment_main_with(&args(&["--jobs", "3"]), || {
+        experiment_main_with("e1", &args(&["--jobs", "3"]), || {
             ran = true;
             assert_eq!(defender_par::jobs(), 3);
         })
@@ -226,26 +233,26 @@ mod tests {
     #[test]
     fn jobs_flag_rejects_garbage() {
         let run = || panic!("must not run");
-        assert!(experiment_main_with(&args(&["--jobs"]), run).is_err());
-        assert!(experiment_main_with(&args(&["--jobs", "zero"]), run).is_err());
-        assert!(experiment_main_with(&args(&["--jobs", "0"]), run).is_err());
-        assert!(experiment_main_with(&args(&["--bogus"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--jobs"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--jobs", "zero"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--jobs", "0"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--bogus"]), run).is_err());
     }
 
     #[test]
     fn shard_flag_declares_the_window() {
         let _guard = test_lock();
         let mut seen = None;
-        experiment_main_with(&args(&["--shard", "1/3"]), || {
+        experiment_main_with("e1", &args(&["--shard", "1/3"]), || {
             seen = shard::shard();
         })
         .unwrap();
         assert_eq!(seen, Some((1, 3)));
         shard::clear_shard();
         let run = || panic!("must not run");
-        assert!(experiment_main_with(&args(&["--shard"]), run).is_err());
-        assert!(experiment_main_with(&args(&["--shard", "3/3"]), run).is_err());
-        assert!(experiment_main_with(&args(&["--shard", "x"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--shard"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--shard", "3/3"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--shard", "x"]), run).is_err());
     }
 
     #[test]
@@ -255,7 +262,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-cache-flag-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut installed = false;
-        experiment_main_with(&args(&["--cache", dir.to_str().unwrap()]), || {
+        experiment_main_with("e1", &args(&["--cache", dir.to_str().unwrap()]), || {
             installed = cache::handle().is_some();
         })
         .unwrap();
@@ -266,7 +273,7 @@ mod tests {
         );
         cache::clear_cache();
         let run = || panic!("must not run");
-        assert!(experiment_main_with(&args(&["--cache"]), run).is_err());
+        assert!(experiment_main_with("e1", &args(&["--cache"]), run).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -274,7 +281,7 @@ mod tests {
     fn telemetry_flag_gates_the_event_stream() {
         let _guard = test_lock();
         let mut during = false;
-        experiment_main_with(&args(&["--telemetry", "--shard", "0/2"]), || {
+        experiment_main_with("e1", &args(&["--telemetry", "--shard", "0/2"]), || {
             during = defender_obs::telemetry::enabled();
         })
         .unwrap();
@@ -289,7 +296,7 @@ mod tests {
     #[test]
     fn profile_flag_starts_tracing_and_sets_the_gate() {
         let mut observed = (false, false);
-        experiment_main_with(&args(&["--profile"]), || {
+        experiment_main_with("e1", &args(&["--profile"]), || {
             observed = (profiling_enabled(), defender_obs::trace::enabled());
         })
         .unwrap();
@@ -300,7 +307,7 @@ mod tests {
         );
         PROFILING.store(false, Ordering::Relaxed);
         defender_obs::trace::clear();
-        experiment_main_with(&args(&[]), || {
+        experiment_main_with("e1", &args(&[]), || {
             assert!(!profiling_enabled());
         })
         .unwrap();

@@ -1,11 +1,12 @@
 //! Shard windows: deterministic corpus partitioning for out-of-process
 //! sweeps.
 //!
-//! A sweep worker is an ordinary `exp_*` binary invoked with
+//! A sweep worker is an ordinary `exp <name>` run invoked with
 //! `--shard <i>/<N>` (parsed by [`crate::experiment_main`]). Experiments
 //! with an indexed instance corpus ask this module for their window via
-//! [`window`]; an unsharded run gets the full corpus back, so the same
-//! code path serves both modes. Partitioning is **contiguous by index** —
+//! [`window`] and are listed in [`WINDOWED`]; an unsharded run gets the
+//! full corpus back, so the same code path serves both modes.
+//! Partitioning is **contiguous by index** —
 //! shard `i` of `N` over a corpus of `total` instances owns
 //! `[⌊total·i/N⌋, ⌊total·(i+1)/N⌋)` — which makes the windows disjoint,
 //! exhaustive, and a pure function of `(total, i, N)`: the determinism
@@ -16,6 +17,12 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The experiments that window their corpus through [`window`] — the only
+/// ones `--shard` and `defender sweep` accept. Any other experiment runs
+/// its whole corpus in every shard, so N "shards" would count every
+/// instance N times.
+pub const WINDOWED: &[&str] = &["e1", "e15"];
 
 /// Shard index of the current process (meaningful while `SHARD_TOTAL` is
 /// non-zero).
@@ -199,6 +206,12 @@ mod tests {
         assert!(set_shard(3, 3).is_err());
         assert!(set_shard(2, 3).is_ok());
         clear_shard();
+    }
+
+    #[test]
+    fn only_e1_and_e15_window_their_corpus() {
+        assert_eq!(WINDOWED, ["e1", "e15"]);
+        assert!(!WINDOWED.contains(&"e2"));
     }
 
     #[test]

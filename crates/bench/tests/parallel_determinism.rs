@@ -1,4 +1,4 @@
-//! Determinism under parallelism, enforced on the real binaries: the
+//! Determinism under parallelism, enforced on the real `exp` binary: the
 //! acceptance bar for the worker pool is that `--jobs N` never changes
 //! what an experiment reports — only how fast it reports it.
 
@@ -7,9 +7,10 @@ use std::process::Command;
 
 use defender_bench::diff::Sidecar;
 
-/// Runs `binary` with `args` in a fresh scratch directory and returns
+/// Runs `exp` with `args` in a fresh scratch directory and returns
 /// `(stdout bytes, scratch dir)`; panics on a non-zero exit.
-fn run_in_scratch(binary: &str, tag: &str, args: &[&str]) -> (Vec<u8>, PathBuf) {
+fn run_in_scratch(tag: &str, args: &[&str]) -> (Vec<u8>, PathBuf) {
+    let binary = env!("CARGO_BIN_EXE_exp");
     let dir = std::env::temp_dir().join(format!("defender_par_det_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -32,9 +33,8 @@ fn sidecar(dir: &Path, experiment: &str) -> Sidecar {
 
 #[test]
 fn e1_report_is_byte_identical_across_pool_widths() {
-    let binary = env!("CARGO_BIN_EXE_exp_e1_pure_frontier");
-    let (stdout_1, dir_1) = run_in_scratch(binary, "e1_j1", &["--jobs", "1"]);
-    let (stdout_4, dir_4) = run_in_scratch(binary, "e1_j4", &["--jobs", "4"]);
+    let (stdout_1, dir_1) = run_in_scratch("e1_j1", &["e1", "--jobs", "1"]);
+    let (stdout_4, dir_4) = run_in_scratch("e1_j4", &["e1", "--jobs", "4"]);
     assert_eq!(
         stdout_1, stdout_4,
         "stdout must be byte-identical for --jobs 1 vs --jobs 4"
@@ -54,9 +54,8 @@ fn e1_report_is_byte_identical_across_pool_widths() {
 
 #[test]
 fn e15_sweep_is_byte_identical_across_pool_widths() {
-    let binary = env!("CARGO_BIN_EXE_exp_e15_value_atlas");
-    let (stdout_1, dir_1) = run_in_scratch(binary, "e15_j1", &["--jobs", "1"]);
-    let (stdout_4, dir_4) = run_in_scratch(binary, "e15_j4", &["--jobs", "4"]);
+    let (stdout_1, dir_1) = run_in_scratch("e15_j1", &["e15", "--jobs", "1"]);
+    let (stdout_4, dir_4) = run_in_scratch("e15_j4", &["e15", "--jobs", "4"]);
     assert_eq!(stdout_1, stdout_4);
     assert_eq!(
         sidecar(&dir_1, "e15_value_atlas").counters,
@@ -68,12 +67,7 @@ fn e15_sweep_is_byte_identical_across_pool_widths() {
 
 #[test]
 fn parallel_trace_from_the_binary_is_balanced() {
-    let binary = env!("CARGO_BIN_EXE_exp_e1_pure_frontier");
-    let (_, dir) = run_in_scratch(
-        binary,
-        "e1_trace",
-        &["--jobs", "4", "--trace", "trace.json"],
-    );
+    let (_, dir) = run_in_scratch("e1_trace", &["e1", "--jobs", "4", "--trace", "trace.json"]);
     let text = std::fs::read_to_string(dir.join("trace.json")).expect("trace written");
     let check = defender_obs::trace::validate_chrome_trace(&text)
         .expect("multi-thread trace keeps per-thread stack discipline");

@@ -3,7 +3,7 @@
 //! shard width, and for a sweep killed after its first shard and then
 //! resumed. This is the end-to-end version of the unit-level guarantees
 //! in `defender_sweep::merge` and `defender_bench::shard`, driving the
-//! real `exp_e1_pure_frontier` binary through the real runner.
+//! real `exp e1` through the real runner.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -12,7 +12,7 @@ use std::time::Duration;
 use defender_sweep::{counters_object, SweepConfig};
 
 fn worker_binary() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_exp_e1_pure_frontier"))
+    PathBuf::from(env!("CARGO_BIN_EXE_exp"))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -43,6 +43,7 @@ fn merged_counters_match_the_unsharded_run_at_every_width() {
     let plain_dir = temp_dir("plain");
     std::fs::create_dir_all(&plain_dir).unwrap();
     let status = Command::new(worker_binary())
+        .arg("e1")
         .current_dir(&plain_dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())

@@ -73,6 +73,33 @@ impl Options {
     }
 }
 
+/// Takes the value-less switches `names` (such as `--quiet`) out of
+/// `argv`: returns whether each was given, and the remaining tokens for
+/// [`split_positionals`] and [`Options::parse`].
+#[must_use]
+pub fn switches<const N: usize>(argv: &[String], names: [&str; N]) -> ([bool; N], Vec<String>) {
+    let given = names.map(|name| argv.iter().any(|token| token == name));
+    let rest = argv
+        .iter()
+        .filter(|token| !names.contains(&token.as_str()))
+        .cloned()
+        .collect();
+    (given, rest)
+}
+
+/// Splits leading positional arguments from trailing `--key value` options.
+#[must_use]
+pub fn split_positionals(argv: &[String]) -> (Vec<&str>, &[String]) {
+    let cut = argv
+        .iter()
+        .position(|token| token.starts_with("--"))
+        .unwrap_or(argv.len());
+    (
+        argv[..cut].iter().map(String::as_str).collect(),
+        &argv[cut..],
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,5 +141,16 @@ mod tests {
             .unwrap_err()
             .contains("--n"));
         assert!(options.parse_or::<usize>("n", 1).is_err());
+    }
+
+    #[test]
+    fn switches_and_positionals_split_off() {
+        let tokens = argv(&["t.json", "--quiet", "--top", "3", "--sidecar"]);
+        let ([quiet, profile, sidecar], rest) =
+            switches(&tokens, ["--quiet", "--profile", "--sidecar"]);
+        assert_eq!((quiet, profile, sidecar), (true, false, true));
+        let (positionals, options) = split_positionals(&rest);
+        assert_eq!(positionals, ["t.json"]);
+        assert_eq!(Options::parse(options).unwrap().get("top"), Some("3"));
     }
 }

@@ -2,30 +2,29 @@
 //! sidecars and Chrome trace exports.
 //!
 //! ```text
-//! defender bench diff <baseline.json> <current.json> [--threshold 0.2] [--noise-floor 0.001] [--counters-only]
+//! defender bench diff <baseline.json> <current.json>
 //! defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]
 //! ```
 //!
-//! `diff` exits with code 2 when any phase or counter regresses beyond the
-//! threshold, so CI can gate on it directly; `--counters-only` skips the
-//! machine-sensitive wall-clock phases and judges only the deterministic
-//! counters (the mode CI uses, since a slower runner must not fail the
-//! gate). `validate-trace` checks that a `--trace` export is well-formed
-//! Chrome trace-event JSON with balanced begin/end pairs; `--min-threads`
-//! additionally requires the timeline to span at least that many threads
-//! (asserting a `--jobs N` run really fanned out). A trace that dropped
-//! events (ring overflow) gets a warning — and exit code 2 under
-//! `--strict-drops`, for runs whose analysis must see the full timeline.
+//! `diff` exits with code 2 when any counter grows more than 20% or goes
+//! missing, so CI can gate on it directly; it takes no options and never
+//! judges the machine-sensitive phase wall times. `validate-trace` checks
+//! that a `--trace` export is well-formed Chrome trace-event JSON with
+//! balanced begin/end pairs; `--min-threads` additionally requires the
+//! timeline to span at least that many threads (asserting a `--jobs N`
+//! run really fanned out). A trace that dropped events (ring overflow)
+//! gets a warning — and exit code 2 under `--strict-drops`, for runs
+//! whose analysis must see the full timeline.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use defender_bench::diff::{self, DiffConfig, Sidecar};
+use defender_bench::diff::{self, Sidecar};
 
-use crate::args::Options;
+use crate::args::{split_positionals, switches, Options};
 
 const USAGE: &str = "usage:\n  \
-    defender bench diff <baseline.json> <current.json> [--threshold 0.2] [--noise-floor 0.001] [--counters-only] [--format table|json]\n  \
+    defender bench diff <baseline.json> <current.json>\n  \
     defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]";
 
 /// Dispatches the `bench` subcommands.
@@ -45,49 +44,17 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Splits leading positional arguments from trailing `--key value` options.
-fn split_positionals(argv: &[String]) -> (Vec<&str>, &[String]) {
-    let cut = argv
-        .iter()
-        .position(|token| token.starts_with("--"))
-        .unwrap_or(argv.len());
-    (
-        argv[..cut].iter().map(String::as_str).collect(),
-        &argv[cut..],
-    )
-}
-
 fn run_diff(argv: &[String]) -> Result<ExitCode, String> {
-    let (positionals, option_tokens) = split_positionals(argv);
-    let [baseline_path, current_path] = positionals[..] else {
+    if let Some(option) = argv.iter().find(|token| token.starts_with("--")) {
+        return Err(format!(
+            "`bench diff` takes no options, got `{option}`\n{USAGE}"
+        ));
+    }
+    let [baseline_path, current_path] = argv else {
         return Err(format!(
             "`bench diff` needs exactly two sidecar files\n{USAGE}"
         ));
     };
-    // `--counters-only` is a bare flag; strip it before the `--key value`
-    // option parser sees the token stream.
-    let mut counters_only = false;
-    let option_tokens: Vec<String> = option_tokens
-        .iter()
-        .filter(|token| {
-            if token.as_str() == "--counters-only" {
-                counters_only = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    let options = Options::parse(&option_tokens)?;
-    let config = DiffConfig {
-        threshold: options.parse_or("threshold", diff::DEFAULT_THRESHOLD)?,
-        noise_floor_seconds: options.parse_or("noise-floor", diff::DEFAULT_NOISE_FLOOR_SECONDS)?,
-        counters_only,
-    };
-    if config.threshold < 0.0 {
-        return Err("option `--threshold` must be non-negative".to_string());
-    }
     let baseline = Sidecar::load(Path::new(baseline_path))?;
     let current = Sidecar::load(Path::new(current_path))?;
     if baseline.experiment != current.experiment {
@@ -96,20 +63,8 @@ fn run_diff(argv: &[String]) -> Result<ExitCode, String> {
             baseline.experiment, current.experiment
         );
     }
-    let report = diff::diff(&baseline, &current, config);
-    // `--format json` emits the machine-readable report (one line, field
-    // order documented on `DiffReport::to_json`) so the sweep monitor and
-    // CI consume verdicts without grepping the table. Exit semantics are
-    // identical in both formats.
-    match options.get("format") {
-        None | Some("table") => print!("{}", report.render()),
-        Some("json") => println!("{}", report.to_json()),
-        Some(other) => {
-            return Err(format!(
-                "option `--format` must be `table` or `json`, got `{other}`"
-            ))
-        }
-    }
+    let report = diff::diff(&baseline, &current);
+    print!("{}", report.render());
     if report.passed() {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -118,28 +73,14 @@ fn run_diff(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 fn run_validate_trace(argv: &[String]) -> Result<ExitCode, String> {
-    let (positionals, option_tokens) = split_positionals(argv);
+    let ([strict_drops], tokens) = switches(argv, ["--strict-drops"]);
+    let (positionals, option_tokens) = split_positionals(&tokens);
     let [trace_path] = positionals[..] else {
         return Err(format!(
             "`bench validate-trace` needs one trace file\n{USAGE}"
         ));
     };
-    // `--strict-drops` is a bare flag; strip it before the `--key value`
-    // option parser sees the token stream.
-    let mut strict_drops = false;
-    let option_tokens: Vec<String> = option_tokens
-        .iter()
-        .filter(|token| {
-            if token.as_str() == "--strict-drops" {
-                strict_drops = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    let options = Options::parse(&option_tokens)?;
+    let options = Options::parse(option_tokens)?;
     let min_threads: usize = options.parse_or("min-threads", 1)?;
     let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
@@ -166,4 +107,62 @@ fn run_validate_trace(argv: &[String]) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `bench diff` arguments over a baseline and a current sidecar
+    /// written to a fresh scratch directory.
+    fn diff_argv(tag: &str, base: &str, cur: &str) -> Vec<String> {
+        let dir = std::env::temp_dir().join(format!("bench-diff-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut argv = vec!["diff".to_string()];
+        for (name, text) in [("base.json", base), ("cur.json", cur)] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            argv.push(path.display().to_string());
+        }
+        argv
+    }
+
+    const BASE: &str = r#"{"experiment": "e1", "phases": [{"name": "sweep", "wall_seconds": 1.0},
+        {"name": "verify", "wall_seconds": 0.5}], "counters": {"lp.pivots": 100, "mm.augment": 40}}"#;
+
+    /// `BASE` with every phase twice as slow.
+    fn doubled_phases() -> String {
+        BASE.replace("1.0", "2.0").replace("0.5", "1.0")
+    }
+
+    #[test]
+    fn doubled_phases_pass() {
+        let argv = diff_argv("phases", BASE, &doubled_phases());
+        assert_eq!(run(&argv), Ok(ExitCode::SUCCESS));
+    }
+
+    #[test]
+    fn one_counter_up_21_percent_exits_2() {
+        let cur = doubled_phases().replace("\"lp.pivots\": 100", "\"lp.pivots\": 121");
+        assert_eq!(
+            run(&diff_argv("counter", BASE, &cur)),
+            Ok(ExitCode::from(2))
+        );
+    }
+
+    #[test]
+    fn removed_options_are_usage_errors() {
+        let files = diff_argv("options", BASE, BASE);
+        for option in [
+            &["--counters-only"][..],
+            &["--threshold", "0.5"],
+            &["--noise-floor", "0.1"],
+            &["--format", "json"],
+        ] {
+            let mut argv = files.clone();
+            argv.extend(option.iter().map(ToString::to_string));
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains("takes no options"), "{option:?}: {err}");
+        }
+    }
 }

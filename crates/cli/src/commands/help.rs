@@ -23,7 +23,7 @@ USAGE:
   defender simulate --graph <file> --k <K> --nu <NU> [--rounds <R>] [--seed <S>]
   defender value    --graph <file> --k <K> [--limit <TUPLES>] [--cache <DIR>]
   defender convert  --in <file> --out <file> [--from <fmt>] [--to <fmt>]
-  defender bench diff <baseline.json> <current.json> [--threshold 0.2] [--noise-floor 0.001] [--counters-only] [--format table|json]
+  defender bench diff <baseline.json> <current.json>
   defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]
   defender profile <trace.json> [--format table|json] [--top N] [--sidecar]
   defender sweep <experiment> --shards <N> [--resume <dir>] [options]   (see `defender help sweep`)
@@ -43,11 +43,9 @@ Every command (except `bench`, `lint` and `sweep`) also accepts:
                           (default: available parallelism; results are
                           identical for every N)
 
-`bench diff` compares two BENCH_*.json sidecars (written by the
-defender-bench experiment binaries) and exits with code 2 when any phase
-wall time or counter regresses beyond the threshold; `--counters-only`
-judges only the deterministic counters (for cross-machine CI gates);
-`--format json` emits the same report as one machine-readable JSON line.
+`bench diff` compares the counters of two BENCH_*.json sidecars (written
+by the `exp` experiment binary) and exits with code 2 when any counter
+grows more than 20% or goes missing; phase wall times are never judged.
 `bench validate-trace --min-threads N` additionally requires the timeline
 to span at least N threads; `--strict-drops` exits with code 2 when the
 trace dropped events (ring overflow).
@@ -57,7 +55,7 @@ with self/total times and call counts, text flamegraph, per-worker
 utilization and critical-path estimate. `--sidecar` writes
 BENCH_profile_<stem>.json for `bench diff` span-level gating. Exits with
 code 2 when the wall-clock accounting invariant is violated (a lane's
-root spans sum past the trace duration). The experiment binaries accept
+root spans sum past the trace duration). The `exp` binary accepts
 `--profile` to harvest the same analysis in-process (appended to the run
 sidecar) with live heartbeat lines on stderr.
 
@@ -65,7 +63,7 @@ sidecar) with live heartbeat lines on stderr.
 with live progress, checkpoint-resume and a merged sidecar —
 `defender help sweep` has the full story.
 
-`value --cache <DIR>` (and the experiment binaries' `--cache <DIR>`)
+`value --cache <DIR>` (and `exp <experiment> --cache <DIR>`)
 memoizes exact equilibria keyed by the graph's canonical form, so
 isomorphic repeats are free — `defender help cache` has the full story.
 
@@ -109,14 +107,14 @@ EXAMPLES:
 
 /// Prints the `defender help sweep` topic page.
 fn print_sweep() {
+    let windowed = defender_bench::shard::WINDOWED.join(", ");
     println!(
         "defender sweep — sharded experiment sweeps across worker processes
 
 USAGE:
   defender sweep <experiment> --shards <N> [options]
 
-  <experiment>            a sweepable experiment: e1, e15 (short or full
-                          binary name, e.g. exp_e1_pure_frontier)
+  <experiment>            an experiment that windows its corpus: {windowed}
 
 OPTIONS:
   --shards <N>            split the instance corpus into N contiguous
@@ -132,16 +130,16 @@ OPTIONS:
                           span analysis appended to shard sidecars)
   --stall-timeout <SECS>  mark a shard STALLED after this long without
                           telemetry (default: 10; any event revives it)
-  --bin-dir <dir>         directory holding the exp_* worker binaries
+  --bin-dir <dir>         directory holding the `exp` worker binary
                           (default: next to the defender executable)
   --quiet                 suppress the live dashboard
 
 HOW IT WORKS:
-  The runner re-invokes the experiment binary once per shard with
-  `--shard i/N --telemetry`. Each worker computes only its corpus window
-  and streams NDJSON telemetry on stdout (heartbeats, per-instance
-  progress, metric snapshots, phase transitions, a terminal summary —
-  schema in EXPERIMENTS.md). The parent renders a live per-shard
+  The runner runs `exp <experiment> --shard i/N --telemetry` once per
+  shard. Each worker computes only its corpus window and streams NDJSON
+  telemetry on stdout (heartbeats, per-instance progress, metric
+  snapshots, phase transitions, a terminal summary — schema in
+  EXPERIMENTS.md). The parent renders a live per-shard
   dashboard on stderr (progress bar, rate, ETA, hottest span, stall
   detection) and merges the per-shard BENCH_*.json sidecars into
   <out>/BENCH_<experiment>.json. The merged `counters` object is
@@ -277,7 +275,7 @@ ANNOTATION GRAMMAR:
 
 CI:
   ci.sh runs `defender lint --sidecar` as a hard gate and bench-diffs
-  the sidecar against baselines/BENCH_lint.json --counters-only, so a
+  the sidecar's counters against baselines/BENCH_lint.json, so a
   silent change in what the linter sees is a reviewed event; the
   workspace-clean state is also pinned as a regular cargo test.
 
@@ -285,7 +283,7 @@ EXAMPLES:
   defender lint
   defender lint --format json | head -1
   defender lint --sidecar && defender bench diff \\
-      baselines/BENCH_lint.json BENCH_lint.json --counters-only"
+      baselines/BENCH_lint.json BENCH_lint.json"
     );
 }
 
@@ -296,8 +294,7 @@ fn print_cache() {
 
 USAGE:
   defender value --graph <file> --k <K> --cache <DIR>
-  exp_e13_exact_value --cache <DIR>        (any exp_* binary)
-  exp_e15_value_atlas --cache <DIR>
+  exp <experiment> --cache <DIR>           (e.g. exp e15; any experiment)
 
 WHAT IT DOES:
   Every exact LP solve is keyed by (canonical graph6, k, nu): the
@@ -333,7 +330,7 @@ TELEMETRY:
 
 EXAMPLES:
   defender value --graph ring.edges --k 2 --cache ./memo
-  exp_e15_value_atlas --cache ./memo     # first run fills the memo
-  exp_e15_value_atlas --cache ./memo     # second run: cache.misses = 0"
+  exp e15 --cache ./memo                 # first run fills the memo
+  exp e15 --cache ./memo                 # second run: cache.misses = 0"
     );
 }

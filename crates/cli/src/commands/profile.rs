@@ -4,8 +4,8 @@
 //! defender profile <trace.json> [--format table|json] [--top N] [--sidecar]
 //! ```
 //!
-//! Loads a Chrome trace-event JSON file (written by `--trace` on any
-//! experiment binary or `defender` command), replays it through
+//! Loads a Chrome trace-event JSON file (written by `--trace` on `exp`
+//! or any `defender` command), replays it through
 //! `defender-profile`, and prints the span table, text flamegraph, and
 //! worker-utilization analysis (`--format table`, the default) or the
 //! full machine-readable profile (`--format json`). `--sidecar`
@@ -19,7 +19,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::args::Options;
+use crate::args::{split_positionals, switches, Options};
 
 const USAGE: &str =
     "usage:\n  defender profile <trace.json> [--format table|json] [--top N] [--sidecar]";
@@ -32,30 +32,12 @@ const USAGE: &str =
 /// when the trace cannot be read; an accounting violation is an exit-2
 /// outcome, not an error.
 pub fn run(argv: &[String]) -> Result<ExitCode, String> {
-    // `--sidecar` is a bare flag; strip it before the `--key value`
-    // option parser sees the token stream.
-    let mut sidecar = false;
-    let tokens: Vec<String> = argv
-        .iter()
-        .filter(|token| {
-            if token.as_str() == "--sidecar" {
-                sidecar = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    let cut = tokens
-        .iter()
-        .position(|token| token.starts_with("--"))
-        .unwrap_or(tokens.len());
-    let [trace_path] = &tokens[..cut] else {
+    let ([sidecar], tokens) = switches(argv, ["--sidecar"]);
+    let (positionals, option_tokens) = split_positionals(&tokens);
+    let [trace_path] = positionals[..] else {
         return Err(format!("`profile` needs one trace file\n{USAGE}"));
     };
-    let trace_path = trace_path.clone();
-    let options = Options::parse(&tokens[cut..])?;
+    let options = Options::parse(option_tokens)?;
     let top: usize = options.parse_or("top", 0)?;
     let format = options.get("format").unwrap_or("table");
     if !matches!(format, "table" | "json") {
@@ -64,7 +46,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         ));
     }
 
-    let text = std::fs::read_to_string(&trace_path)
+    let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
     let input = defender_profile::TraceInput::from_chrome_trace(&text)
         .map_err(|e| format!("{trace_path}: invalid trace: {e}"))?;
@@ -75,7 +57,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         _ => print!("{}", defender_profile::to_table(&profile, top)),
     }
     if sidecar {
-        let stem = Path::new(&trace_path)
+        let stem = Path::new(trace_path)
             .file_stem()
             .map_or_else(|| "trace".to_string(), |s| s.to_string_lossy().into_owned());
         let path = format!("BENCH_profile_{stem}.json");

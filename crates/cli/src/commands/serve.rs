@@ -19,7 +19,8 @@ use crate::args::Options;
 
 const USAGE: &str = "usage:\n  \
     defender serve --addr <HOST:PORT> [--cache <DIR>] [--jobs <N>] [--batch-window-ms <W>]\n                 \
-    [--max-queue <Q>] [--max-body <BYTES>] [--deadline-ms <D>] [--max-connections <C>]";
+    [--max-queue <Q>] [--max-body <BYTES>] [--deadline-ms <D>] [--max-vertices <V>]\n                 \
+    [--max-connections <C>]";
 
 /// Runs the `serve` command: builds a [`ServeConfig`] from the flags,
 /// starts the server, and blocks until it is shut down over HTTP.

@@ -8,17 +8,18 @@
 //!
 //! The heavy lifting lives in `defender-sweep` ([`defender_sweep::run_sweep`]);
 //! this module owns the argument grammar and worker-binary resolution:
-//! the `exp_*` binaries are expected next to the `defender` executable
-//! (the cargo target directory in development), overridable with
-//! `--bin-dir` for installed layouts.
+//! the `exp` binary is expected next to the `defender` executable (the
+//! cargo target directory in development), overridable with `--bin-dir`
+//! for installed layouts.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use defender_bench::shard::WINDOWED;
 use defender_sweep::{run_sweep, SweepConfig};
 
-use crate::args::Options;
+use crate::args::{switches, Options};
 
 const USAGE: &str = "usage:\n  \
     defender sweep <experiment> --shards <N> [--out <dir>] [--resume <dir>] [--parallel <M>]\n                \
@@ -35,34 +36,16 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let Some((experiment, rest)) = argv.split_first() else {
         return Err(format!(
             "`sweep` needs an experiment name ({})\n{USAGE}",
-            defender_sweep::sweepable_experiments().join(", ")
+            WINDOWED.join(", ")
         ));
     };
-    let binary_name = defender_sweep::experiment_binary(experiment).ok_or_else(|| {
-        format!(
+    if !WINDOWED.contains(&experiment.as_str()) {
+        return Err(format!(
             "experiment `{experiment}` is not sweepable; known: {}\n{USAGE}",
-            defender_sweep::sweepable_experiments().join(", ")
-        )
-    })?;
-    // `--profile` and `--quiet` are bare flags; strip them before the
-    // `--key value` option parser sees the token stream.
-    let mut profile = false;
-    let mut quiet = false;
-    let option_tokens: Vec<String> = rest
-        .iter()
-        .filter(|token| match token.as_str() {
-            "--profile" => {
-                profile = true;
-                false
-            }
-            "--quiet" => {
-                quiet = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
+            WINDOWED.join(", ")
+        ));
+    }
+    let ([profile, quiet], option_tokens) = switches(rest, ["--profile", "--quiet"]);
     let options = Options::parse(&option_tokens)?;
 
     let resume_dir = options.get("resume").map(PathBuf::from);
@@ -76,13 +59,18 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     };
     let shards: u64 = options.required_parse("shards")?;
     let binary = match options.get("bin-dir") {
-        Some(dir) => PathBuf::from(dir).join(binary_name),
-        None => sibling_binary(binary_name)?,
-    };
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::current_exe()
+            .map_err(|e| format!("cannot locate this executable: {e}"))?
+            .parent()
+            .map(PathBuf::from)
+            .ok_or("this executable has no parent directory")?,
+    }
+    .join("exp");
     if !binary.exists() {
         return Err(format!(
-            "worker binary {} not found; build it with `cargo build --release` \
-             or point `--bin-dir` at it",
+            "worker binary {} not found; build it with \
+             `cargo build --release -p defender-bench` or point `--bin-dir` at it",
             binary.display()
         ));
     }
@@ -130,13 +118,4 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::from(3))
         }
     }
-}
-
-/// The worker binary next to the running `defender` executable.
-fn sibling_binary(name: &str) -> Result<PathBuf, String> {
-    let me = std::env::current_exe().map_err(|e| format!("cannot locate this executable: {e}"))?;
-    let dir = me
-        .parent()
-        .ok_or("this executable has no parent directory")?;
-    Ok(dir.join(name))
 }

@@ -1,13 +1,14 @@
 //! Cross-process shard telemetry: NDJSON events on stdout.
 //!
-//! A sweep worker (an `exp_*` binary invoked with `--telemetry` by the
+//! A sweep worker (`exp <name>` invoked with `--telemetry` by the
 //! `defender sweep` runner) streams one JSON object per line to stdout;
 //! the parent process demultiplexes the stream — lines that parse as a
 //! JSON object with an `"ev"` field are telemetry, everything else is the
 //! experiment's ordinary console output. The emit side lives here so the
 //! whole workspace shares one wire format; the parse side lives in
 //! `defender-sweep` (`protocol` module), and the event schema is
-//! documented in EXPERIMENTS.md ("Shard telemetry protocol").
+//! documented in EXPERIMENTS.md ("Shard telemetry protocol"). Events do
+//! not name their shard: the runner reads each worker from its own pipe.
 //!
 //! Event kinds emitted by the workspace:
 //!
@@ -26,27 +27,21 @@
 //! branch when no sweep runner is listening.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::json::JsonObject;
 use crate::Snapshot;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SHARD_INDEX: AtomicU64 = AtomicU64::new(0);
-static SHARD_TOTAL: AtomicU64 = AtomicU64::new(0);
 
-/// Turns telemetry emission on for shard `index` of `total` (process-wide;
-/// every subsequent event carries the shard index).
-pub fn enable_for_shard(index: u64, total: u64) {
-    SHARD_INDEX.store(index, Ordering::Relaxed);
-    SHARD_TOTAL.store(total, Ordering::Relaxed);
+/// Turns telemetry emission on (process-wide).
+pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Turns telemetry emission off.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-    SHARD_TOTAL.store(0, Ordering::Relaxed);
 }
 
 /// Whether telemetry emission is currently on.
@@ -55,22 +50,11 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The shard identity set by [`enable_for_shard`], if telemetry is on.
-#[must_use]
-pub fn shard() -> Option<(u64, u64)> {
-    let total = SHARD_TOTAL.load(Ordering::Relaxed);
-    if total == 0 {
-        None
-    } else {
-        Some((SHARD_INDEX.load(Ordering::Relaxed), total))
-    }
-}
-
 /// Builder for one telemetry event line.
 ///
-/// Field order on the wire is `ev`, then `shard` (when a shard identity is
-/// set), then the fields in call order — readers must key on names, not
-/// positions, but the stable order keeps the stream grep-friendly.
+/// Field order on the wire is `ev`, then the fields in call order —
+/// readers must key on names, not positions, but the stable order keeps
+/// the stream grep-friendly.
 #[derive(Debug)]
 pub struct Event {
     obj: JsonObject,
@@ -82,10 +66,6 @@ impl Event {
     pub fn new(kind: &str) -> Event {
         let mut obj = JsonObject::new();
         obj.field_str("ev", kind);
-        if let Some((index, total)) = shard() {
-            obj.field_u64("shard", index);
-            obj.field_u64("shards", total);
-        }
         Event { obj }
     }
 
@@ -184,25 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_identity_rides_every_event() {
-        let _guard = crate::test_lock();
-        enable_for_shard(2, 5);
-        let line = Event::new("start").to_line();
-        assert!(
-            line.contains(r#""shard": 2, "shards": 5"#),
-            "shard fields travel on every event: {line}"
-        );
-        disable();
-        let line = Event::new("start").to_line();
-        assert!(!line.contains("shard"), "{line}");
-    }
-
-    #[test]
     fn disabled_events_do_not_claim_enabled() {
         let _guard = crate::test_lock();
         disable();
         assert!(!enabled());
-        assert!(shard().is_none());
         // emit() on a disabled gate is a no-op; nothing to assert beyond
         // not panicking (stdout is not captured here).
         Event::new("hb").emit();

@@ -117,8 +117,8 @@ impl TraceInput {
     }
 
     /// Harvests the live in-process trace rings (non-destructively), for
-    /// profiling a run from inside the run — the `--profile` flag on the
-    /// experiment binaries and the heartbeat's hottest-span readout.
+    /// profiling a run from inside the run — the `--profile` flag of
+    /// `exp` and the heartbeat's hottest-span readout.
     ///
     /// Spans still open at harvest time are closed at the current clock
     /// ([`defender_obs::trace::elapsed_ns`]) by the analyzer.

@@ -13,8 +13,8 @@ use crate::render::format_ns;
 /// goes to stderr: instances done, completion rate, ETA, and — when the
 /// trace layer is recording — the hottest span by self time so far,
 /// harvested live from the in-process rings. Construct with
-/// `enabled = false` to make every tick a no-op (the experiment binaries
-/// pass their `--profile` flag here, so undecorated runs stay silent).
+/// `enabled = false` to make every tick a no-op (the experiments pass
+/// `exp`'s `--profile` flag here, so undecorated runs stay silent).
 ///
 /// When the process streams shard telemetry
 /// (`defender_obs::telemetry::enabled()`), ticks stay live even for a

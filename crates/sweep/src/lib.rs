@@ -1,7 +1,7 @@
 //! defender-sweep — out-of-process sharded sweep runner.
 //!
 //! Splits one experiment's instance corpus across worker processes
-//! (`exp_*` binaries re-invoked with `--shard i/N --telemetry`), streams
+//! (`exp <name> --shard i/N --telemetry`, one per shard), streams
 //! each worker's NDJSON telemetry into a live dashboard, checkpoints
 //! finished shards so a killed sweep resumes instead of restarting, and
 //! merges the per-shard `BENCH_*.json` sidecars into one sweep-level
@@ -27,48 +27,3 @@ pub use merge::{counters_object, merge_sidecars};
 pub use monitor::{Monitor, ShardState, ShardView};
 pub use protocol::{parse_line, ShardEvent};
 pub use runner::{run_sweep, SweepConfig, SweepOutcome};
-
-/// Maps a sweepable experiment's short name to its worker binary.
-/// Accepts the full binary name too (`exp_e1_pure_frontier`), so scripts
-/// can pass either. Only experiments whose corpora are windowed through
-/// `defender_bench::shard::window` are listed — sharding an experiment
-/// that ignores its window would duplicate every instance N times.
-#[must_use]
-pub fn experiment_binary(name: &str) -> Option<&'static str> {
-    const SWEEPABLE: &[(&str, &str)] = &[
-        ("e1", "exp_e1_pure_frontier"),
-        ("e15", "exp_e15_value_atlas"),
-    ];
-    SWEEPABLE
-        .iter()
-        .find(|(short, binary)| *short == name || *binary == name)
-        .map(|(_, binary)| *binary)
-}
-
-/// The short names accepted by [`experiment_binary`], for help text.
-#[must_use]
-pub fn sweepable_experiments() -> &'static [&'static str] {
-    &["e1", "e15"]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_resolves_short_and_full_names() {
-        assert_eq!(experiment_binary("e1"), Some("exp_e1_pure_frontier"));
-        assert_eq!(
-            experiment_binary("exp_e15_value_atlas"),
-            Some("exp_e15_value_atlas")
-        );
-        assert_eq!(
-            experiment_binary("e2"),
-            None,
-            "unsharded experiments are not sweepable"
-        );
-        for name in sweepable_experiments() {
-            assert!(experiment_binary(name).is_some(), "{name}");
-        }
-    }
-}

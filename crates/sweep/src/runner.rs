@@ -1,11 +1,14 @@
 //! Sweep orchestration: spawn shard workers, stream their telemetry,
 //! checkpoint finished shards, merge sidecars.
 //!
+//! Shard `i` of `N` runs `exp <experiment> --shard i/N --telemetry` (plus
+//! the forwarded `--jobs` and `--profile`) in its shard directory.
+//!
 //! One sweep = one output directory. Layout:
 //!
 //! ```text
 //! <out_dir>/
-//!   sweep.json            manifest (experiment, shards, binary) — resume guard
+//!   sweep.json            manifest (experiment, shards) — resume guard
 //!   shard_<i>/
 //!     BENCH_<exp>.json    the worker's own sidecar (written by the worker;
 //!                         the worker runs with this directory as its cwd)
@@ -38,10 +41,10 @@ use crate::protocol::{parse_line, ShardEvent};
 /// Configuration for one sweep run.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Experiment name (only used for display; the binary decides what
-    /// actually runs).
+    /// Experiment name (`e1`), passed to every worker as its first
+    /// argument.
     pub experiment: String,
-    /// Path to the `exp_*` worker binary.
+    /// Path to the `exp` worker binary.
     pub binary: PathBuf,
     /// Number of shards to partition the corpus into.
     pub shards: u64,
@@ -343,6 +346,7 @@ fn spawn_shard(
     let mut command = std::process::Command::new(&config.binary);
     command
         .current_dir(&dir)
+        .arg(&config.experiment)
         .arg("--shard")
         .arg(format!("{shard}/{}", config.shards))
         .arg("--telemetry")
