@@ -148,33 +148,36 @@ grep -o '"counters": {[^}]*}' "$SMOKE_DIR/BENCH_e1_pure_frontier.json" \
 diff "$SWEEP_DIR/plain.counters" "$SWEEP_DIR/w3.counters"
 
 echo "== sweep kill-and-resume smoke =="
-# Interrupt a 3-shard sweep with a real SIGKILL mid-run (workers
-# serialized with --parallel 1 so at least one shard seals a checkpoint
-# first), then resume it: the resumed merge must be byte-identical to the
-# uninterrupted width-3 merge above. The shard PID files and DONE markers
-# exist for exactly this kind of smoke test.
+# Interrupt a 3-shard sweep with a real SIGKILL mid-run, then resume it:
+# the resumed merge must be byte-identical to the uninterrupted width-3
+# merge above. The interrupted sweep runs a wrapper `exp` that execs the
+# real binary for shard 0 and parks every other shard in `sleep`; with
+# --parallel 1 shard 1 spawns only after shard 0 sealed its checkpoint,
+# so a non-empty shard_1/PID means the kill lands mid-sweep on every run.
+# The shard PID files and DONE markers exist for exactly this test.
+KILL_BIN="$SWEEP_DIR/kill_bin"
+mkdir "$KILL_BIN"
+printf '#!/bin/sh\ncase "$3" in 0/*) exec "%s" "$@";; *) exec sleep 60;; esac\n' \
+  "$PWD/target/release/exp" > "$KILL_BIN/exp"
+chmod +x "$KILL_BIN/exp"
 target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/kr" --quiet \
-  --parallel 1 --bin-dir target/release &
+  --parallel 1 --bin-dir "$KILL_BIN" &
 SWEEP_PID=$!
 for _ in $(seq 1 200); do
-  [[ -f "$SWEEP_DIR/kr/shard_0/DONE" ]] && break
+  [[ -s "$SWEEP_DIR/kr/shard_1/PID" ]] && break
   sleep 0.05
 done
-[[ -f "$SWEEP_DIR/kr/shard_0/DONE" ]] || { echo "shard 0 never checkpointed"; exit 1; }
-kill -KILL "$SWEEP_PID" 2> /dev/null || true
+[[ -s "$SWEEP_DIR/kr/shard_1/PID" ]] || { echo "shard 1 never started"; exit 1; }
+kill -KILL "$SWEEP_PID" "$(cat "$SWEEP_DIR/kr/shard_1/PID")"
 wait "$SWEEP_PID" 2> /dev/null || true
-# Reap any orphaned worker the kill left behind before resuming.
-if [[ -f "$SWEEP_DIR/kr/shard_1/PID" ]]; then
-  kill -KILL "$(cat "$SWEEP_DIR/kr/shard_1/PID")" 2> /dev/null || true
-fi
-# On a fast machine the sweep can finish before the kill lands; the
-# resume below then exercises the all-checkpoints path instead (still a
-# valid byte-identity check), so note it rather than fail.
-if [[ -f "$SWEEP_DIR/kr/BENCH_e1_pure_frontier.json" ]]; then
-  echo "note: sweep finished before the kill; resuming a complete sweep"
+[[ -f "$SWEEP_DIR/kr/shard_0/DONE" ]] || { echo "shard 0 never checkpointed"; exit 1; }
+if [[ -f "$SWEEP_DIR/kr/shard_1/DONE" ]]; then
+  echo "shard 1 finished before the kill"; exit 1
 fi
 target/release/defender sweep e1 --shards 3 --resume "$SWEEP_DIR/kr" --quiet \
-  --bin-dir target/release
+  --bin-dir target/release 2> "$SWEEP_DIR/kr.log" || { cat "$SWEEP_DIR/kr.log"; exit 1; }
+grep -q '^resumed 1 shard(s)' "$SWEEP_DIR/kr.log" \
+  || { echo "the resume did not start from a checkpoint"; cat "$SWEEP_DIR/kr.log"; exit 1; }
 grep -o '"counters": {[^}]*}' "$SWEEP_DIR/kr/BENCH_e1_pure_frontier.json" \
   > "$SWEEP_DIR/kr.counters"
 diff "$SWEEP_DIR/w3.counters" "$SWEEP_DIR/kr.counters"

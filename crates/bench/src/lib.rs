@@ -154,17 +154,18 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
     Ok(())
 }
 
-/// Handle for the `--telemetry` heartbeat thread: signals it to stop and
-/// joins it, so the last `hb`/`snapshot` pair never interleaves with the
-/// `summary` event.
+/// Handle for the `--telemetry` heartbeat thread. Stopping drops the
+/// sender, which wakes the thread mid-wait, and joins it, so the last
+/// `hb`/`snapshot` pair never interleaves with the `summary` event and
+/// the run never waits out a heartbeat interval.
 struct HeartbeatHandle {
-    stop: std::sync::Arc<AtomicBool>,
+    stop: std::sync::mpsc::Sender<()>,
     thread: std::thread::JoinHandle<()>,
 }
 
 impl HeartbeatHandle {
     fn stop(self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         let _ = self.thread.join();
     }
 }
@@ -176,21 +177,18 @@ const HEARTBEAT_INTERVAL: std::time::Duration = std::time::Duration::from_millis
 
 /// Spawns the `--telemetry` heartbeat thread: every [`HEARTBEAT_INTERVAL`]
 /// it emits an `hb` event (liveness) followed by a `snapshot` event
-/// carrying the cumulative obs counter/gauge/histogram state, so the
-/// parent sweep runner can show live rates and detect stalls even while
-/// the experiment is deep inside one long instance.
+/// carrying the cumulative obs counter totals, so the parent sweep runner
+/// can detect stalls even while the experiment is deep inside one long
+/// instance.
 fn spawn_heartbeat() -> HeartbeatHandle {
     let start = std::time::Instant::now();
-    let stop = std::sync::Arc::new(AtomicBool::new(false));
-    let stop_flag = std::sync::Arc::clone(&stop);
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
     let thread = std::thread::Builder::new()
         .name("telemetry-hb".to_string())
         .spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(HEARTBEAT_INTERVAL);
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            while stopped.recv_timeout(HEARTBEAT_INTERVAL)
+                == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+            {
                 defender_obs::telemetry::Event::new("hb")
                     .u64("elapsed_ns", start.elapsed().as_nanos() as u64)
                     .emit();
@@ -281,10 +279,15 @@ mod tests {
     fn telemetry_flag_gates_the_event_stream() {
         let _guard = test_lock();
         let mut during = false;
+        let started = std::time::Instant::now();
         experiment_main_with("e1", &args(&["--telemetry", "--shard", "0/2"]), || {
             during = defender_obs::telemetry::enabled();
         })
         .unwrap();
+        assert!(
+            started.elapsed() < HEARTBEAT_INTERVAL,
+            "stopping the heartbeat must not wait out its interval"
+        );
         assert!(during, "telemetry on during the run");
         assert!(
             !defender_obs::telemetry::enabled(),

@@ -299,7 +299,6 @@ mod tests {
             ],
             gauges: vec![("other.gauge".to_string(), 3), ("par.jobs".to_string(), 2)],
             histograms: Vec::new(),
-            spans: Vec::new(),
         };
         let mut report = RunReport::new("unit");
         report.counters_from(&snapshot);
@@ -326,7 +325,6 @@ mod tests {
                 ("sw.shard_total".to_string(), 3),
             ],
             histograms: Vec::new(),
-            spans: Vec::new(),
         };
         let mut report = RunReport::new("unit");
         report.counters_from(&snapshot);
@@ -351,7 +349,6 @@ mod tests {
             ],
             gauges: vec![("srv.queue_depth".to_string(), 3)],
             histograms: Vec::new(),
-            spans: Vec::new(),
         };
         let mut report = RunReport::new("unit");
         report.counters_from(&snapshot);
@@ -374,7 +371,6 @@ mod tests {
             ],
             gauges: Vec::new(),
             histograms: Vec::new(),
-            spans: Vec::new(),
         };
         let mut report = RunReport::new("unit");
         report.counters_from(&snapshot);

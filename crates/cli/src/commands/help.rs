@@ -32,8 +32,8 @@ USAGE:
   defender help [sweep|cache|serve|lint]
 
 Every command (except `bench`, `lint` and `sweep`) also accepts:
-  --metrics json|table    run instrumented; dump the counter/span registry
-                          (with p50/p90/p99 estimates) afterwards
+  --metrics json|table    run instrumented; dump the counters, gauges and
+                          histograms (with p50/p90/p99 estimates) afterwards
   --metrics-out <FILE>    write the metrics JSON to FILE instead of stdout,
                           keeping stdout machine-parseable
   --trace <FILE>          record an event-level timeline and write it as
@@ -137,11 +137,11 @@ OPTIONS:
 HOW IT WORKS:
   The runner runs `exp <experiment> --shard i/N --telemetry` once per
   shard. Each worker computes only its corpus window and streams NDJSON
-  telemetry on stdout (heartbeats, per-instance progress, metric
+  telemetry on stdout (heartbeats, per-instance progress, counter
   snapshots, phase transitions, a terminal summary — schema in
   EXPERIMENTS.md). The parent renders a live per-shard
-  dashboard on stderr (progress bar, rate, ETA, hottest span, stall
-  detection) and merges the per-shard BENCH_*.json sidecars into
+  dashboard on stderr (progress bar, rate, ETA, live counter total,
+  stall detection) and merges the per-shard BENCH_*.json sidecars into
   <out>/BENCH_<experiment>.json. The merged `counters` object is
   byte-identical for every --shards width — CI diffs it against the
   single-process run. Worker console output lands in

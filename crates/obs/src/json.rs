@@ -89,11 +89,6 @@ impl JsonObject {
         self.field_raw(key, &value.to_string())
     }
 
-    /// Appends a signed integer field.
-    pub fn field_i64(&mut self, key: &str, value: i64) -> &mut JsonObject {
-        self.field_raw(key, &value.to_string())
-    }
-
     /// Appends a float field (`null` for NaN/infinities).
     pub fn field_f64(&mut self, key: &str, value: f64) -> &mut JsonObject {
         self.field_raw(key, &number(value))
@@ -147,11 +142,6 @@ impl JsonArray {
     /// Appends an unsigned integer element.
     pub fn push_u64(&mut self, value: u64) -> &mut JsonArray {
         self.push_raw(&value.to_string())
-    }
-
-    /// Appends a float element (`null` for NaN/infinities).
-    pub fn push_f64(&mut self, value: f64) -> &mut JsonArray {
-        self.push_raw(&number(value))
     }
 
     /// Appends a pre-rendered JSON value.
@@ -385,14 +375,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are safe to re-derive).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                // lint: allow(panic) the Some(_) arm guarantees at least one byte remains
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` in one piece. Both
+                // are ASCII, so the run ends on a char boundary of the input
+                // `&str`, and each byte is scanned once.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -478,7 +470,7 @@ mod tests {
     #[test]
     fn object_and_array_compose() {
         let mut inner = JsonArray::new();
-        inner.push_u64(1).push_f64(0.5).push_str("x");
+        inner.push_u64(1).push_raw(&number(0.5)).push_str("x");
         let mut obj = JsonObject::new();
         obj.field_str("id", "run")
             .field_bool("ok", true)
@@ -613,6 +605,17 @@ mod tests {
         assert_eq!(doc.get("x").unwrap().as_f64(), Some(0.125));
         let xs = doc.get("xs").unwrap().as_array().unwrap();
         assert_eq!(xs[1].as_str(), Some("two\nlines"));
+        // A string past 1 MiB mixing ASCII, multibyte characters and
+        // escapes: the reader copies unescaped runs whole, so this parses
+        // in linear time and round-trips byte for byte.
+        let unit = "ascii μ(G) ≤ ν \"q\" back\\slash\ttab\nline 🦀 \u{1} ";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let mut obj = JsonObject::new();
+        obj.field_str("big", &big).field_u64("after", 1);
+        let doc = parse(&obj.finish()).unwrap();
+        assert_eq!(doc.get("big").unwrap().as_str(), Some(big.as_str()));
+        assert_eq!(doc.get("after").unwrap().as_u64(), Some(1));
     }
 
     #[test]

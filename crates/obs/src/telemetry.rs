@@ -19,7 +19,7 @@
 //! | `phase`     | `RunReport::phase`                       | a named phase finished |
 //! | `instance`  | `defender_profile::Progress::tick`       | instances completed (stride-sampled) |
 //! | `hb`        | the `experiment_main` timer thread       | liveness heartbeat |
-//! | `snapshot`  | the `experiment_main` timer thread       | cumulative counter/gauge/histogram state |
+//! | `snapshot`  | the `experiment_main` timer thread       | cumulative counter totals |
 //! | `summary`   | `experiment_main` after the run          | terminal status |
 //!
 //! Like the metrics and trace layers, telemetry is **off by default**
@@ -119,36 +119,17 @@ impl Event {
     }
 }
 
-/// Serializes the cumulative counter/gauge/histogram state of `snapshot`
-/// as a `snapshot` event. Counters and gauges are name→value objects;
-/// histograms and spans carry `count`/`sum` per name (enough for the
-/// parent to show live rates and the hottest span — full log2 buckets
-/// travel in the end-of-run sidecar, not on every beat).
+/// Serializes the cumulative counter totals of `snapshot` as a
+/// `snapshot` event: `counters` is a name→value object, the one section
+/// the sweep runner reads (its dashboard footer). Gauges and histograms
+/// travel in the end-of-run sidecar, not on every beat.
 #[must_use]
 pub fn snapshot_event(snapshot: &Snapshot) -> Event {
     let mut counters = JsonObject::new();
     for (name, value) in &snapshot.counters {
         counters.field_u64(name, *value);
     }
-    let mut gauges = JsonObject::new();
-    for (name, value) in &snapshot.gauges {
-        gauges.field_u64(name, *value);
-    }
-    let stats = |section: &[crate::HistStat]| {
-        let mut out = JsonObject::new();
-        for h in section {
-            let mut stat = JsonObject::new();
-            stat.field_u64("count", h.count);
-            stat.field_u64("sum", h.sum);
-            out.field_raw(&h.name, &stat.finish());
-        }
-        out.finish()
-    };
-    Event::new("snapshot")
-        .raw("counters", &counters.finish())
-        .raw("gauges", &gauges.finish())
-        .raw("histograms", &stats(&snapshot.histograms))
-        .raw("spans", &stats(&snapshot.spans))
+    Event::new("snapshot").raw("counters", &counters.finish())
 }
 
 #[cfg(test)]
@@ -176,7 +157,7 @@ mod tests {
     #[test]
     fn snapshot_event_carries_cumulative_state() {
         let snap = Snapshot {
-            counters: vec![("lp.pivots".to_string(), 42)],
+            counters: vec![("lp.pivots".to_string(), 42), ("se.tests".to_string(), 3)],
             gauges: vec![("par.jobs".to_string(), 4)],
             histograms: vec![HistStat {
                 name: "lp.simplex.constraints".to_string(),
@@ -184,23 +165,10 @@ mod tests {
                 sum: 30,
                 buckets: vec![(3, 3)],
             }],
-            spans: vec![HistStat {
-                name: "e1.solve".to_string(),
-                count: 7,
-                sum: 700,
-                buckets: Vec::new(),
-            }],
         };
-        let line = snapshot_event(&snap).to_line();
-        assert!(line.contains(r#""counters": {"lp.pivots": 42}"#), "{line}");
-        assert!(line.contains(r#""gauges": {"par.jobs": 4}"#), "{line}");
-        assert!(
-            line.contains(r#""lp.simplex.constraints": {"count": 3, "sum": 30}"#),
-            "{line}"
-        );
-        assert!(
-            line.contains(r#""spans": {"e1.solve": {"count": 7, "sum": 700}}"#),
-            "{line}"
+        assert_eq!(
+            snapshot_event(&snap).to_line(),
+            r#"{"ev": "snapshot", "counters": {"lp.pivots": 42, "se.tests": 3}}"#
         );
     }
 }

@@ -1,10 +1,11 @@
 //! Event-level tracing: bounded per-thread ring buffers of timestamped
 //! begin/end/instant events, exported as Chrome trace-event JSON.
 //!
-//! Where the span registry in the crate root answers "how much total time
-//! went into `a_tuple/step1_matching_ne`?", this module answers "where did
-//! the time go inside *this one run*?" — a timeline loadable in Perfetto
-//! or `chrome://tracing`.
+//! This module is the one clock behind [`crate::span!`]: the registry in
+//! the crate root keeps counters, gauges and value histograms, and span
+//! timing lives only here, as a timeline loadable in Perfetto or
+//! `chrome://tracing` that `defender-profile` aggregates into per-span
+//! self and total times.
 //!
 //! Design (mirrors the metrics layer):
 //!

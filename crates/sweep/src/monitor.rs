@@ -1,7 +1,7 @@
 //! Parent-side live aggregation of the shard telemetry stream.
 //!
 //! The [`Monitor`] folds every decoded [`ShardEvent`] into a per-shard
-//! view (state, instance progress, rate, ETA, hottest span, last-heard
+//! view (state, instance progress, rate, ETA, counter total, last-heard
 //! time) and renders the whole sweep as a text dashboard. Rendering is a
 //! pure function of the monitor state so tests can assert on it; the
 //! runner decides how often to draw and whether the terminal supports
@@ -70,8 +70,6 @@ pub struct ShardView {
     pub elapsed_ns: u64,
     /// Sum of all counters in the latest snapshot (dashboard footer).
     pub counters_total: u64,
-    /// Hottest span so far as `(name, total_ns)`.
-    pub top_span: Option<(String, u64)>,
     /// Parent-clock time the shard last produced telemetry.
     pub last_heard: Option<Instant>,
 }
@@ -87,7 +85,6 @@ impl ShardView {
             label: String::new(),
             elapsed_ns: 0,
             counters_total: 0,
-            top_span: None,
             last_heard: None,
         }
     }
@@ -199,13 +196,8 @@ impl Monitor {
             ShardEvent::Heartbeat { .. } => {
                 defender_obs::counter!("sw.heartbeats").incr();
             }
-            ShardEvent::Snapshot {
-                counters, spans, ..
-            } => {
+            ShardEvent::Snapshot { counters } => {
                 view.counters_total = counters.iter().map(|(_, v)| v).sum();
-                if let Some((name, ns)) = spans.iter().max_by_key(|(_, ns)| *ns) {
-                    view.top_span = Some((name.clone(), *ns));
-                }
             }
             ShardEvent::Phase { .. } | ShardEvent::Summary { .. } | ShardEvent::Unknown { .. } => {}
         }
@@ -287,7 +279,7 @@ fn render_shard(view: &ShardView) -> String {
             view.state.label()
         ),
         ShardState::Running | ShardState::Stalled => {
-            let mut line = if view.window_known && view.total == 0 {
+            let progress = if view.window_known && view.total == 0 {
                 "0/0 empty window".to_string()
             } else if view.total > 0 {
                 let mut s = format!(
@@ -309,12 +301,7 @@ fn render_shard(view: &ShardView) -> String {
             } else {
                 "starting".to_string()
             };
-            if let Some((name, ns)) = &view.top_span {
-                line.push_str(&format!(" hot {} {}", name, format_secs(*ns as f64 / 1e9)));
-            }
-            line.push(' ');
-            line.push_str(view.state.label());
-            line
+            format!("{progress} {}", view.state.label())
         }
     }
 }
@@ -399,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_feeds_footer_and_hottest_span() {
+    fn snapshot_feeds_the_footer() {
         let mut m = Monitor::new("e1", 1, Duration::from_secs(5));
         let now = Instant::now();
         m.mark_spawned(0, now);
@@ -407,17 +394,11 @@ mod tests {
             0,
             &ShardEvent::Snapshot {
                 counters: vec![("lp.pivots".to_string(), 40), ("se.tests".to_string(), 2)],
-                gauges: Vec::new(),
-                spans: vec![
-                    ("e1.solve".to_string(), 900_000_000),
-                    ("e1.setup".to_string(), 100),
-                ],
             },
             now,
         );
         let rendered = m.render();
         assert!(rendered.contains("live counter total 42"), "{rendered}");
-        assert!(rendered.contains("hot e1.solve 900ms"), "{rendered}");
     }
 
     #[test]

@@ -52,15 +52,10 @@ pub enum ShardEvent {
         /// Nanoseconds since the worker's run started.
         elapsed_ns: u64,
     },
-    /// Cumulative obs counter/gauge/span state (`snapshot`).
+    /// Cumulative obs counter totals (`snapshot`).
     Snapshot {
         /// Counter totals as `(name, value)` in emitted (sorted) order.
         counters: Vec<(String, u64)>,
-        /// Gauge values as `(name, value)`.
-        gauges: Vec<(String, u64)>,
-        /// Span totals as `(name, total_ns)` — feeds the dashboard's
-        /// hottest-span column.
-        spans: Vec<(String, u64)>,
     },
     /// Terminal status (`summary`).
     Summary {
@@ -115,36 +110,18 @@ pub fn parse_line(line: &str) -> Option<ShardEvent> {
         "hb" => ShardEvent::Heartbeat {
             elapsed_ns: u("elapsed_ns"),
         },
-        "snapshot" => {
-            let section = |key: &str| -> Vec<(String, u64)> {
-                doc.get(key)
-                    .and_then(JsonValue::as_object)
-                    .map(|entries| {
-                        entries
-                            .iter()
-                            .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
-            let spans = doc
-                .get("spans")
+        "snapshot" => ShardEvent::Snapshot {
+            counters: doc
+                .get("counters")
                 .and_then(JsonValue::as_object)
                 .map(|entries| {
                     entries
                         .iter()
-                        .filter_map(|(name, v)| {
-                            Some((name.clone(), v.get("sum").and_then(JsonValue::as_u64)?))
-                        })
+                        .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
                         .collect()
                 })
-                .unwrap_or_default();
-            ShardEvent::Snapshot {
-                counters: section("counters"),
-                gauges: section("gauges"),
-                spans,
-            }
-        }
+                .unwrap_or_default(),
+        },
         "summary" => ShardEvent::Summary {
             ok: doc.get("ok").and_then(JsonValue::as_bool).unwrap_or(false),
             elapsed_ns: u("elapsed_ns"),
@@ -233,30 +210,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_events_decode_counters_and_gauges() {
+    fn snapshot_events_decode_counters() {
         let snap = defender_obs::Snapshot {
-            counters: vec![("lp.pivots".to_string(), 9)],
+            counters: vec![("lp.pivots".to_string(), 9), ("se.tests".to_string(), 1)],
             gauges: vec![("par.jobs".to_string(), 2)],
             histograms: Vec::new(),
-            spans: vec![defender_obs::HistStat {
-                name: "e1.solve".to_string(),
-                count: 4,
-                sum: 400,
-                buckets: Vec::new(),
-            }],
         };
         let line = defender_obs::telemetry::snapshot_event(&snap).to_line();
-        let Some(ShardEvent::Snapshot {
-            counters,
-            gauges,
-            spans,
-        }) = parse_line(&line)
-        else {
-            panic!("snapshot line must decode: {line}");
-        };
-        assert_eq!(counters, vec![("lp.pivots".to_string(), 9)]);
-        assert_eq!(gauges, vec![("par.jobs".to_string(), 2)]);
-        assert_eq!(spans, vec![("e1.solve".to_string(), 400)]);
+        assert_eq!(
+            parse_line(&line),
+            Some(ShardEvent::Snapshot {
+                counters: vec![("lp.pivots".to_string(), 9), ("se.tests".to_string(), 1)],
+            })
+        );
     }
 
     #[test]

@@ -56,7 +56,8 @@ pub struct SweepConfig {
     pub parallel: usize,
     /// `--jobs` forwarded to every worker.
     pub jobs: Option<usize>,
-    /// Forward `--profile` to workers (per-shard hottest-span feed).
+    /// Forward `--profile` to workers (span profile in each shard's
+    /// sidecar and stderr).
     pub profile: bool,
     /// Silence past this duration flags a shard as stalled.
     pub stall_timeout: Duration,
