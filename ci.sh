@@ -132,9 +132,9 @@ echo "== sweep shard-width identity gate =="
 # jobs-invariance check above.
 SWEEP_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR"' EXIT
-target/release/defender sweep e1 --shards 1 --out "$SWEEP_DIR/w1" --quiet \
+target/release/defender sweep e1 --shards 1 --out "$SWEEP_DIR/w1" \
   --bin-dir target/release
-target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/w3" --quiet \
+target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/w3" \
   --bin-dir target/release
 for w in w1 w3; do
   grep -o '"counters": {[^}]*}' "$SWEEP_DIR/$w/BENCH_e1_pure_frontier.json" \
@@ -151,16 +151,18 @@ echo "== sweep kill-and-resume smoke =="
 # Interrupt a 3-shard sweep with a real SIGKILL mid-run, then resume it:
 # the resumed merge must be byte-identical to the uninterrupted width-3
 # merge above. The interrupted sweep runs a wrapper `exp` that execs the
-# real binary for shard 0 and parks every other shard in `sleep`; with
-# --parallel 1 shard 1 spawns only after shard 0 sealed its checkpoint,
-# so a non-empty shard_1/PID means the kill lands mid-sweep on every run.
+# real binary for shard 0 and parks every other shard in `sleep` (the
+# runner invokes it as `exp <name> --shard i/N [...]`, so `$3` is the
+# shard spec); with --parallel 1 shard 1 spawns only after shard 0
+# sealed its checkpoint, so a non-empty shard_1/PID means the kill lands
+# mid-sweep on every run.
 # The shard PID files and DONE markers exist for exactly this test.
 KILL_BIN="$SWEEP_DIR/kill_bin"
 mkdir "$KILL_BIN"
 printf '#!/bin/sh\ncase "$3" in 0/*) exec "%s" "$@";; *) exec sleep 60;; esac\n' \
   "$PWD/target/release/exp" > "$KILL_BIN/exp"
 chmod +x "$KILL_BIN/exp"
-target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/kr" --quiet \
+target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/kr" \
   --parallel 1 --bin-dir "$KILL_BIN" &
 SWEEP_PID=$!
 for _ in $(seq 1 200); do
@@ -174,7 +176,7 @@ wait "$SWEEP_PID" 2> /dev/null || true
 if [[ -f "$SWEEP_DIR/kr/shard_1/DONE" ]]; then
   echo "shard 1 finished before the kill"; exit 1
 fi
-target/release/defender sweep e1 --shards 3 --resume "$SWEEP_DIR/kr" --quiet \
+target/release/defender sweep e1 --shards 3 --resume "$SWEEP_DIR/kr" \
   --bin-dir target/release 2> "$SWEEP_DIR/kr.log" || { cat "$SWEEP_DIR/kr.log"; exit 1; }
 grep -q '^resumed 1 shard(s)' "$SWEEP_DIR/kr.log" \
   || { echo "the resume did not start from a checkpoint"; cat "$SWEEP_DIR/kr.log"; exit 1; }

@@ -56,7 +56,7 @@ fn main() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         eprintln!(
             "error: {problem}\nusage: exp <{}|all> [--jobs <N>] [--trace <FILE>] [--profile] \
-             [--cache <DIR>] [--shard <i>/<N>] [--telemetry]\n`--shard` applies to {} only",
+             [--cache <DIR>] [--shard <i>/<N>]\n`--shard` applies to {} only",
             names.join("|"),
             defender_bench::shard::WINDOWED.join(", ")
         );

@@ -42,13 +42,7 @@ pub fn run() {
     // counters across all shards equal a single-process run.
     let window = crate::shard::window(1 << pairs.len());
     let lo = window.start;
-    let sweep_progress = defender_profile::Progress::with_default_stride(
-        "e15.atlas_sweep",
-        window.len() as u64,
-        crate::profiling_enabled(),
-    );
     let values: Vec<Option<Ratio>> = defender_par::par_for_indexed(window.len(), |local| {
-        sweep_progress.tick();
         let mask = lo + local;
         let mut b = GraphBuilder::new(N);
         for (bit, &(i, j)) in pairs.iter().enumerate() {
@@ -85,13 +79,7 @@ pub fn run() {
     // value. This drives the `se.pairs_skipped` / `se.pairs_tested`
     // pruning counters at experiment scale.
     let crosscheck_start = std::time::Instant::now();
-    let check_progress = defender_profile::Progress::with_default_stride(
-        "e15.enumeration_crosscheck",
-        window.len() as u64,
-        crate::profiling_enabled(),
-    );
     let checks: Vec<Option<usize>> = defender_par::par_for_indexed(window.len(), |local| {
-        check_progress.tick();
         let mask = lo + local;
         let value = values[local]?;
         if (mask as u32).count_ones() > 6 {

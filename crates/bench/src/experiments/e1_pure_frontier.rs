@@ -42,11 +42,6 @@ pub fn run() {
         .iter()
         .map(|(name, build)| (*name, build()))
         .collect();
-    let progress = defender_profile::Progress::with_default_stride(
-        "e1",
-        families.len() as u64,
-        crate::profiling_enabled(),
-    );
     let results = defender_par::par_map(&families, |(name, graph)| {
         let family_start = std::time::Instant::now();
         let rho = edge_cover_number(graph).expect("zoo graphs are game-ready");
@@ -71,7 +66,6 @@ pub fn run() {
             observed_frontier.map_or("none".into(), |k| k.to_string()),
             "ok".into(),
         ];
-        progress.tick();
         (row, family_start.elapsed())
     });
     for ((name, _), (row, elapsed)) in families.iter().zip(results) {

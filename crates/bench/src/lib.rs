@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Whether `--profile` was passed to the running `exp`.
 /// Consulted by [`RunReport::harvest_and_write`] (append the in-process
-/// profile to the sidecar) and by the heartbeat reporters in the sweep
-/// loops.
+/// profile to the sidecar).
 static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Whether the current experiment run was started with `--profile`.
@@ -45,8 +44,8 @@ pub fn profiling_enabled() -> bool {
 /// - `--profile` — record the trace in-process, harvest it with
 ///   `defender-profile` at the end of the run, append a `profile`
 ///   section (`prof.calls.*` / `prof.self_ns.*`) to the `BENCH_*.json`
-///   sidecar, and emit live heartbeat lines from the sweep loops.
-///   Composes with `--trace`: one recording serves both.
+///   sidecar, and print the span table to stderr. Composes with
+///   `--trace`: one recording serves both.
 /// - `--shard <i>/<N>` — run only shard `i` of an `N`-way corpus
 ///   partition (see [`shard::window`]); used by `defender sweep` to
 ///   split one experiment across worker processes. Merged counters over
@@ -58,10 +57,6 @@ pub fn profiling_enabled() -> bool {
 ///   near-instant while main-section counters stay byte-identical to the
 ///   cold run (delta replay); the cache's own `cache.*` counters land in
 ///   the sidecar's run-variant section.
-/// - `--telemetry` — stream NDJSON telemetry events on stdout
-///   (`start`/`window`/`phase`/`instance`/`hb`/`snapshot`/`summary`,
-///   see `defender_obs::telemetry`) so a parent sweep runner can render
-///   live per-shard progress and health.
 ///
 /// Exits with status 2 on a usage or export error (experiment assertion
 /// failures panic, as before).
@@ -75,7 +70,6 @@ pub fn experiment_main(name: &str, flags: &[String], run: impl FnOnce()) {
 fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Result<(), String> {
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut profile = false;
-    let mut telemetry = false;
     let mut shard_spec: Option<(u64, u64)> = None;
     let mut iter = argv.iter();
     while let Some(token) = iter.next() {
@@ -99,7 +93,6 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
                 cache::set_cache_dir(std::path::Path::new(value))?;
             }
             "--profile" => profile = true,
-            "--telemetry" => telemetry = true,
             "--shard" => {
                 let value = iter.next().ok_or("option `--shard` needs a value")?;
                 shard_spec = Some(shard::parse_shard_flag(value)?);
@@ -107,7 +100,7 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
             other => {
                 return Err(format!(
                     "unknown option `{other}` (supported: --trace <FILE>, --jobs <N>, \
-                     --profile, --shard <i>/<N>, --telemetry, --cache <DIR>)"
+                     --profile, --shard <i>/<N>, --cache <DIR>)"
                 ))
             }
         }
@@ -123,26 +116,11 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
         }
         shard::set_shard(index, total)?;
     }
-    if telemetry {
-        defender_obs::telemetry::enable();
-    }
     if trace_path.is_some() || profile {
         defender_obs::trace::start();
     }
-    let heartbeat = telemetry.then(spawn_heartbeat);
-    defender_obs::telemetry::Event::new("start")
-        .u64("pid", u64::from(std::process::id()))
-        .emit();
     run();
-    if let Some(handle) = heartbeat {
-        handle.stop();
-    }
     cache::persist()?;
-    defender_obs::telemetry::Event::new("summary")
-        .bool("ok", true)
-        .u64("elapsed_ns", defender_obs::trace::elapsed_ns())
-        .emit();
-    defender_obs::telemetry::disable();
     if let Some(path) = trace_path {
         defender_obs::trace::stop();
         defender_obs::trace::write_chrome_trace(&path)
@@ -154,53 +132,8 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
     Ok(())
 }
 
-/// Handle for the `--telemetry` heartbeat thread. Stopping drops the
-/// sender, which wakes the thread mid-wait, and joins it, so the last
-/// `hb`/`snapshot` pair never interleaves with the `summary` event and
-/// the run never waits out a heartbeat interval.
-struct HeartbeatHandle {
-    stop: std::sync::mpsc::Sender<()>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl HeartbeatHandle {
-    fn stop(self) {
-        drop(self.stop);
-        let _ = self.thread.join();
-    }
-}
-
-/// Interval between liveness heartbeats on the telemetry stream. Half a
-/// second keeps the parent dashboard fresh while staying far under any
-/// sane stall-detection timeout.
-const HEARTBEAT_INTERVAL: std::time::Duration = std::time::Duration::from_millis(500);
-
-/// Spawns the `--telemetry` heartbeat thread: every [`HEARTBEAT_INTERVAL`]
-/// it emits an `hb` event (liveness) followed by a `snapshot` event
-/// carrying the cumulative obs counter totals, so the parent sweep runner
-/// can detect stalls even while the experiment is deep inside one long
-/// instance.
-fn spawn_heartbeat() -> HeartbeatHandle {
-    let start = std::time::Instant::now();
-    let (stop, stopped) = std::sync::mpsc::channel::<()>();
-    let thread = std::thread::Builder::new()
-        .name("telemetry-hb".to_string())
-        .spawn(move || {
-            while stopped.recv_timeout(HEARTBEAT_INTERVAL)
-                == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
-            {
-                defender_obs::telemetry::Event::new("hb")
-                    .u64("elapsed_ns", start.elapsed().as_nanos() as u64)
-                    .emit();
-                defender_obs::telemetry::snapshot_event(&defender_obs::snapshot()).emit();
-            }
-        })
-        .expect("spawn telemetry heartbeat thread");
-    HeartbeatHandle { stop, thread }
-}
-
-/// Serializes unit tests that mutate the process-global shard/telemetry
-/// state (the statics in [`shard`] and `defender_obs::telemetry`).
+/// Serializes unit tests that mutate the process-global shard and cache
+/// state (the statics in [`shard`] and [`cache`]).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -273,27 +206,6 @@ mod tests {
         let run = || panic!("must not run");
         assert!(experiment_main_with("e1", &args(&["--cache"]), run).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn telemetry_flag_gates_the_event_stream() {
-        let _guard = test_lock();
-        let mut during = false;
-        let started = std::time::Instant::now();
-        experiment_main_with("e1", &args(&["--telemetry", "--shard", "0/2"]), || {
-            during = defender_obs::telemetry::enabled();
-        })
-        .unwrap();
-        assert!(
-            started.elapsed() < HEARTBEAT_INTERVAL,
-            "stopping the heartbeat must not wait out its interval"
-        );
-        assert!(during, "telemetry on during the run");
-        assert!(
-            !defender_obs::telemetry::enabled(),
-            "telemetry off after the run"
-        );
-        shard::clear_shard();
     }
 
     #[test]

@@ -102,14 +102,8 @@ impl RunReport {
         }
     }
 
-    /// Records a completed phase with its wall-clock duration, and
-    /// announces it on the telemetry stream (`phase` event) when a sweep
-    /// runner is listening.
+    /// Records a completed phase with its wall-clock duration.
     pub fn phase(&mut self, name: &str, elapsed: Duration) -> &mut RunReport {
-        defender_obs::telemetry::Event::new("phase")
-            .str("name", name)
-            .u64("wall_ns", elapsed.as_nanos() as u64)
-            .emit();
         self.phases.push((name.to_string(), elapsed));
         self
     }

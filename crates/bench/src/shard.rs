@@ -98,8 +98,7 @@ pub fn window_of(total: usize, index: u64, shards: u64) -> Range<usize> {
 /// was given. When sharded it also records the shard-shape metrics
 /// (`sw.shard_index`/`sw.shard_total` gauges, `sw.window_instances`
 /// counter — all segregated into the sidecar's "parallelism" section,
-/// since they vary with shard width by construction) and announces the
-/// partition on the telemetry stream (`window` event).
+/// since they vary with shard width by construction).
 #[must_use]
 pub fn window(total: usize) -> Range<usize> {
     let Some((index, shards)) = shard() else {
@@ -109,11 +108,6 @@ pub fn window(total: usize) -> Range<usize> {
     defender_obs::gauge!("sw.shard_index").set(index);
     defender_obs::gauge!("sw.shard_total").set(shards);
     defender_obs::counter!("sw.window_instances").add((range.end - range.start) as u64);
-    defender_obs::telemetry::Event::new("window")
-        .u64("total", total as u64)
-        .u64("lo", range.start as u64)
-        .u64("hi", range.end as u64)
-        .emit();
     range
 }
 

@@ -1,6 +1,7 @@
 //! The `exp` entry point's argument contract: a missing or unknown
-//! experiment name and a `--shard` on an experiment that does not window
-//! its corpus are usage errors (exit 2), caught before anything runs.
+//! experiment name, an unknown option and a `--shard` on an experiment
+//! that does not window its corpus are usage errors (exit 2), caught
+//! before anything runs.
 
 use std::process::{Command, Output};
 
@@ -47,4 +48,14 @@ fn shard_on_an_unwindowed_experiment_exits_2_before_running() {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no sidecar");
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn unknown_options_exit_2_before_running() {
+    let (output, dir) = exp("telemetry", &["e1", "--telemetry"]);
+    assert_eq!(output.status.code(), Some(2), "exp e1 --telemetry");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown option `--telemetry`"), "{stderr}");
+    assert!(output.stdout.is_empty(), "e1 must not run");
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -3,12 +3,12 @@
 //! shard width, and for a sweep killed after its first shard and then
 //! resumed. This is the end-to-end version of the unit-level guarantees
 //! in `defender_sweep::merge` and `defender_bench::shard`, driving the
-//! real `exp e1` through the real runner.
+//! real `exp` through the real runner.
 
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Duration;
 
+use defender_bench::shard::WINDOWED;
 use defender_sweep::{counters_object, SweepConfig};
 
 fn worker_binary() -> PathBuf {
@@ -21,15 +21,24 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn quiet_config(shards: u64, out_dir: PathBuf) -> SweepConfig {
-    let mut config = SweepConfig::new("e1", worker_binary(), shards, out_dir);
-    config.quiet = true;
-    config
+fn e1_config(shards: u64, out_dir: PathBuf) -> SweepConfig {
+    SweepConfig::new("e1", worker_binary(), shards, out_dir)
 }
 
 /// Runs a sweep and returns the merged sidecar's `counters` object text.
+/// Every shard's `console.log` is its worker's stdout, so each starts
+/// with the experiment's `== E<n>:` header.
 fn sweep_counters(config: &SweepConfig) -> String {
     let outcome = defender_sweep::run_sweep(config).expect("sweep runs");
+    let header = format!("== {}:", config.experiment.to_uppercase());
+    for shard in 0..config.shards {
+        let log = config
+            .out_dir
+            .join(format!("shard_{shard}"))
+            .join("console.log");
+        let text = std::fs::read_to_string(&log).expect("console.log written");
+        assert!(text.starts_with(&header), "{}: {text:?}", log.display());
+    }
     let path = outcome.merged_sidecar.expect("sweep merged");
     let text = std::fs::read_to_string(path).expect("merged sidecar readable");
     counters_object(&text)
@@ -39,42 +48,43 @@ fn sweep_counters(config: &SweepConfig) -> String {
 
 #[test]
 fn merged_counters_match_the_unsharded_run_at_every_width() {
-    // Ground truth: the worker run plainly, no sharding at all.
-    let plain_dir = temp_dir("plain");
-    std::fs::create_dir_all(&plain_dir).unwrap();
-    let status = Command::new(worker_binary())
-        .arg("e1")
-        .current_dir(&plain_dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("worker binary runs");
-    assert!(status.success(), "unsharded run failed: {status}");
-    let plain = std::fs::read_to_string(plain_dir.join("BENCH_e1_pure_frontier.json"))
-        .expect("plain sidecar written");
-    let plain_counters = counters_object(&plain)
-        .expect("plain sidecar has counters")
-        .to_string();
+    for &experiment in WINDOWED {
+        // Ground truth: the worker run plainly, no sharding at all.
+        let plain_dir = temp_dir(&format!("{experiment}-plain"));
+        std::fs::create_dir_all(&plain_dir).unwrap();
+        let status = Command::new(worker_binary())
+            .arg(experiment)
+            .current_dir(&plain_dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("worker binary runs");
+        assert!(status.success(), "unsharded {experiment} failed: {status}");
+        let sidecar = std::fs::read_dir(&plain_dir)
+            .unwrap()
+            .flatten()
+            .map(|entry| entry.path())
+            .find(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .expect("plain sidecar written");
+        let plain = std::fs::read_to_string(sidecar).unwrap();
+        let plain_counters = counters_object(&plain)
+            .expect("plain sidecar has counters")
+            .to_string();
 
-    let one_dir = temp_dir("w1");
-    let three_dir = temp_dir("w3");
-    let twenty_dir = temp_dir("w20");
-    let one = sweep_counters(&quiet_config(1, one_dir.clone()));
-    let three = sweep_counters(&quiet_config(3, three_dir.clone()));
-    // More shards than the 17-family corpus: several windows are empty,
-    // those workers write sidecars with an empty counters object, and the
-    // merge must still land on the plain run's bytes.
-    let twenty = sweep_counters(&quiet_config(20, twenty_dir.clone()));
-
-    assert_eq!(one, plain_counters, "--shards 1 vs plain run");
-    assert_eq!(three, plain_counters, "--shards 3 vs plain run");
-    assert_eq!(
-        twenty, plain_counters,
-        "--shards 20 (wider than the corpus) vs plain run"
-    );
-
-    for dir in [plain_dir, one_dir, three_dir, twenty_dir] {
-        let _ = std::fs::remove_dir_all(dir);
+        // 20 shards is wider than E1's 17-family corpus: several windows
+        // are empty, those workers write sidecars with an empty counters
+        // object, and the merge must still land on the plain run's bytes.
+        for shards in [1, 3, 20] {
+            let dir = temp_dir(&format!("{experiment}-w{shards}"));
+            let config = SweepConfig::new(experiment, worker_binary(), shards, dir.clone());
+            assert_eq!(
+                sweep_counters(&config),
+                plain_counters,
+                "{experiment} --shards {shards} vs plain run"
+            );
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let _ = std::fs::remove_dir_all(plain_dir);
     }
 }
 
@@ -85,10 +95,9 @@ fn killed_then_resumed_sweeps_merge_byte_identically() {
     // Phase 1: run shard-by-shard (--parallel 1) and stop after the first
     // newly finished shard — the runner kills any live worker and exits
     // without merging, exactly like a Ctrl-C mid-sweep.
-    let mut interrupted = quiet_config(3, out_dir.clone());
+    let mut interrupted = e1_config(3, out_dir.clone());
     interrupted.parallel = 1;
     interrupted.stop_after = Some(1);
-    interrupted.stall_timeout = Duration::from_secs(60);
     let outcome = defender_sweep::run_sweep(&interrupted).expect("interrupted run is not an error");
     assert!(outcome.stopped_early, "stop_after(1) interrupts the sweep");
     assert_eq!(outcome.completed, 1, "exactly one shard checkpointed");
@@ -102,7 +111,7 @@ fn killed_then_resumed_sweeps_merge_byte_identically() {
     );
 
     // Phase 2: resume. Shard 0 must be skipped, the rest re-run.
-    let mut resumed = quiet_config(3, out_dir.clone());
+    let mut resumed = e1_config(3, out_dir.clone());
     resumed.resume = true;
     let outcome = defender_sweep::run_sweep(&resumed).expect("resume completes");
     assert_eq!(outcome.resumed, 1, "the checkpointed shard is skipped");
@@ -116,7 +125,7 @@ fn killed_then_resumed_sweeps_merge_byte_identically() {
     // The interrupted-then-resumed merge is byte-identical to an
     // uninterrupted 3-shard sweep.
     let control_dir = temp_dir("control");
-    let uninterrupted = sweep_counters(&quiet_config(3, control_dir.clone()));
+    let uninterrupted = sweep_counters(&e1_config(3, control_dir.clone()));
     assert_eq!(resumed_counters, uninterrupted);
 
     let _ = std::fs::remove_dir_all(&out_dir);
@@ -126,9 +135,9 @@ fn killed_then_resumed_sweeps_merge_byte_identically() {
 #[test]
 fn resume_with_a_different_shape_is_rejected() {
     let out_dir = temp_dir("shape");
-    let first = quiet_config(2, out_dir.clone());
+    let first = e1_config(2, out_dir.clone());
     defender_sweep::run_sweep(&first).expect("2-shard sweep runs");
-    let mut reshaped = quiet_config(3, out_dir.clone());
+    let mut reshaped = e1_config(3, out_dir.clone());
     reshaped.resume = true;
     let err = defender_sweep::run_sweep(&reshaped).expect_err("shape change rejected");
     assert!(err.contains("resume mismatch"), "{err}");

@@ -9,18 +9,27 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses a `--key value --key2 value2 …` list.
+    /// Parses a `--key value --key2 value2 …` list whose keys are all in
+    /// `known` (given without the leading `--`).
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments, repeated keys and dangling flags.
-    pub fn parse(argv: &[String]) -> Result<Options, String> {
+    /// Rejects positional arguments, unknown keys (naming the key and
+    /// listing `known`), repeated keys and dangling flags.
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Options, String> {
         let mut values = BTreeMap::new();
         let mut iter = argv.iter();
         while let Some(token) = iter.next() {
             let Some(key) = token.strip_prefix("--") else {
                 return Err(format!("expected `--option`, found `{token}`"));
             };
+            if !known.contains(&key) {
+                let supported: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown option `--{key}` (supported: {})",
+                    supported.join(", ")
+                ));
+            }
             let Some(value) = iter.next() else {
                 return Err(format!("option `--{key}` needs a value"));
             };
@@ -73,7 +82,7 @@ impl Options {
     }
 }
 
-/// Takes the value-less switches `names` (such as `--quiet`) out of
+/// Takes the value-less switches `names` (such as `--profile`) out of
 /// `argv`: returns whether each was given, and the remaining tokens for
 /// [`split_positionals`] and [`Options::parse`].
 #[must_use]
@@ -108,9 +117,11 @@ mod tests {
         parts.iter().map(ToString::to_string).collect()
     }
 
+    const KNOWN: &[&str] = &["n", "family", "seed"];
+
     #[test]
     fn parses_pairs() {
-        let options = Options::parse(&argv(&["--n", "12", "--family", "cycle"])).unwrap();
+        let options = Options::parse(&argv(&["--n", "12", "--family", "cycle"]), KNOWN).unwrap();
         assert_eq!(options.get("n"), Some("12"));
         assert_eq!(options.required("family").unwrap(), "cycle");
         assert_eq!(options.required_parse::<usize>("n").unwrap(), 12);
@@ -119,22 +130,31 @@ mod tests {
 
     #[test]
     fn rejects_positional() {
-        assert!(Options::parse(&argv(&["cycle"])).is_err());
+        assert!(Options::parse(&argv(&["cycle"]), KNOWN).is_err());
     }
 
     #[test]
     fn rejects_dangling_flag() {
-        assert!(Options::parse(&argv(&["--n"])).is_err());
+        assert!(Options::parse(&argv(&["--n"]), KNOWN).is_err());
     }
 
     #[test]
     fn rejects_duplicates() {
-        assert!(Options::parse(&argv(&["--n", "1", "--n", "2"])).is_err());
+        assert!(Options::parse(&argv(&["--n", "1", "--n", "2"]), KNOWN).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_keys_by_name() {
+        for tokens in [&["--n", "5", "--bogus", "3"][..], &["--bogus"]] {
+            let err = Options::parse(&argv(tokens), KNOWN).unwrap_err();
+            assert!(err.contains("unknown option `--bogus`"), "{err}");
+            assert!(err.contains("--n, --family, --seed"), "{err}");
+        }
     }
 
     #[test]
     fn reports_missing_and_malformed() {
-        let options = Options::parse(&argv(&["--n", "twelve"])).unwrap();
+        let options = Options::parse(&argv(&["--n", "twelve"]), KNOWN).unwrap();
         assert!(options.required("family").unwrap_err().contains("--family"));
         assert!(options
             .required_parse::<usize>("n")
@@ -151,6 +171,7 @@ mod tests {
         assert_eq!((quiet, profile, sidecar), (true, false, true));
         let (positionals, options) = split_positionals(&rest);
         assert_eq!(positionals, ["t.json"]);
-        assert_eq!(Options::parse(options).unwrap().get("top"), Some("3"));
+        let options = Options::parse(options, &["top"]).unwrap();
+        assert_eq!(options.get("top"), Some("3"));
     }
 }

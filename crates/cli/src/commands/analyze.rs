@@ -99,6 +99,9 @@ pub fn report(graph: &Graph, k: usize, nu: usize) -> Result<String, String> {
     Ok(out)
 }
 
+/// The options this command reads, on top of the ones every command takes.
+pub const OPTIONS: &[&str] = &["graph", "k", "nu"];
+
 /// Runs the subcommand.
 pub fn run(options: &Options) -> Result<(), String> {
     let graph = edgelist::read(std::path::Path::new(options.required("graph")?))?;

@@ -80,7 +80,8 @@ fn run_validate_trace(argv: &[String]) -> Result<ExitCode, String> {
             "`bench validate-trace` needs one trace file\n{USAGE}"
         ));
     };
-    let options = Options::parse(option_tokens)?;
+    let options =
+        Options::parse(option_tokens, &["min-threads"]).map_err(|e| format!("{e}\n{USAGE}"))?;
     let min_threads: usize = options.parse_or("min-threads", 1)?;
     let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;

@@ -3,6 +3,9 @@
 use crate::args::Options;
 use crate::edgelist;
 
+/// The options this command reads, on top of the ones every command takes.
+pub const OPTIONS: &[&str] = &["in", "out", "from", "to"];
+
 /// Runs the subcommand.
 pub fn run(options: &Options) -> Result<(), String> {
     let input = options.required("in")?;
@@ -42,6 +45,7 @@ mod tests {
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>(),
+            OPTIONS,
         )
         .unwrap();
         run(&options).unwrap();
@@ -69,6 +73,7 @@ mod tests {
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>(),
+            OPTIONS,
         )
         .unwrap();
         assert!(run(&options).is_err());

@@ -7,6 +7,11 @@ use defender_graph::{generators, Graph};
 use crate::args::Options;
 use crate::edgelist;
 
+/// The options this command reads, on top of the ones every command takes.
+pub const OPTIONS: &[&str] = &[
+    "family", "seed", "n", "leaves", "a", "b", "rows", "cols", "dim", "p", "out",
+];
+
 /// Builds the requested family (pure function, testable without IO).
 pub fn build(options: &Options) -> Result<Graph, String> {
     let family = options.required("family")?;
@@ -65,7 +70,8 @@ mod tests {
     use super::*;
 
     fn options(parts: &[&str]) -> Options {
-        Options::parse(&parts.iter().map(ToString::to_string).collect::<Vec<_>>()).unwrap()
+        let argv: Vec<String> = parts.iter().map(ToString::to_string).collect();
+        Options::parse(&argv, OPTIONS).unwrap()
     }
 
     #[test]

@@ -31,7 +31,8 @@ USAGE:
   defender serve --addr <HOST:PORT> [--cache <DIR>] [options]          (see `defender help serve`)
   defender help [sweep|cache|serve|lint]
 
-Every command (except `bench`, `lint` and `sweep`) also accepts:
+`generate`, `analyze`, `simulate`, `value` and `convert` also accept
+(every command rejects an option it does not read):
   --metrics json|table    run instrumented; dump the counters, gauges and
                           histograms (with p50/p90/p99 estimates) afterwards
   --metrics-out <FILE>    write the metrics JSON to FILE instead of stdout,
@@ -56,12 +57,12 @@ utilization and critical-path estimate. `--sidecar` writes
 BENCH_profile_<stem>.json for `bench diff` span-level gating. Exits with
 code 2 when the wall-clock accounting invariant is violated (a lane's
 root spans sum past the trace duration). The `exp` binary accepts
-`--profile` to harvest the same analysis in-process (appended to the run
-sidecar) with live heartbeat lines on stderr.
+`--profile` to harvest the same analysis in-process (span table on
+stderr, appended to the run sidecar).
 
 `sweep` splits one experiment's instance corpus across worker processes
-with live progress, checkpoint-resume and a merged sidecar —
-`defender help sweep` has the full story.
+with checkpoint-resume and a merged sidecar — `defender help sweep` has
+the full story.
 
 `value --cache <DIR>` (and `exp <experiment> --cache <DIR>`)
 memoizes exact equilibria keyed by the graph's canonical form, so
@@ -128,24 +129,18 @@ OPTIONS:
   --jobs <J>              forwarded to each worker's --jobs
   --profile               forward --profile to each worker (in-process
                           span analysis appended to shard sidecars)
-  --stall-timeout <SECS>  mark a shard STALLED after this long without
-                          telemetry (default: 10; any event revives it)
   --bin-dir <dir>         directory holding the `exp` worker binary
                           (default: next to the defender executable)
-  --quiet                 suppress the live dashboard
 
 HOW IT WORKS:
-  The runner runs `exp <experiment> --shard i/N --telemetry` once per
-  shard. Each worker computes only its corpus window and streams NDJSON
-  telemetry on stdout (heartbeats, per-instance progress, counter
-  snapshots, phase transitions, a terminal summary — schema in
-  EXPERIMENTS.md). The parent renders a live per-shard
-  dashboard on stderr (progress bar, rate, ETA, live counter total,
-  stall detection) and merges the per-shard BENCH_*.json sidecars into
+  The runner runs `exp <experiment> --shard i/N` once per shard, at
+  most --parallel at a time, and waits for each worker to exit. Each
+  worker computes only its corpus window; its stdout lands in
+  <out>/shard_<i>/console.log and its stderr in stderr.log. The runner
+  then merges the per-shard BENCH_*.json sidecars into
   <out>/BENCH_<experiment>.json. The merged `counters` object is
   byte-identical for every --shards width — CI diffs it against the
-  single-process run. Worker console output lands in
-  <out>/shard_<i>/console.log, stderr in stderr.log.
+  single-process run.
 
 CHECKPOINTS:
   Each finished shard seals <out>/shard_<i>/ with a DONE marker; a

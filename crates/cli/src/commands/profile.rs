@@ -37,7 +37,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let [trace_path] = positionals[..] else {
         return Err(format!("`profile` needs one trace file\n{USAGE}"));
     };
-    let options = Options::parse(option_tokens)?;
+    let options =
+        Options::parse(option_tokens, &["format", "top"]).map_err(|e| format!("{e}\n{USAGE}"))?;
     let top: usize = options.parse_or("top", 0)?;
     let format = options.get("format").unwrap_or("table");
     if !matches!(format, "table" | "json") {

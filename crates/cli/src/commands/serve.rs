@@ -22,6 +22,19 @@ const USAGE: &str = "usage:\n  \
     [--max-queue <Q>] [--max-body <BYTES>] [--deadline-ms <D>] [--max-vertices <V>]\n                 \
     [--max-connections <C>]";
 
+/// The options `serve` reads.
+const OPTIONS: &[&str] = &[
+    "addr",
+    "cache",
+    "jobs",
+    "batch-window-ms",
+    "max-queue",
+    "max-body",
+    "deadline-ms",
+    "max-vertices",
+    "max-connections",
+];
+
 /// Runs the `serve` command: builds a [`ServeConfig`] from the flags,
 /// starts the server, and blocks until it is shut down over HTTP.
 ///
@@ -29,7 +42,7 @@ const USAGE: &str = "usage:\n  \
 ///
 /// Usage errors for malformed flags; bind and cache-open failures.
 pub fn run(argv: &[String]) -> Result<ExitCode, String> {
-    let options = Options::parse(argv).map_err(|e| format!("{e}\n{USAGE}"))?;
+    let options = Options::parse(argv, OPTIONS).map_err(|e| format!("{e}\n{USAGE}"))?;
     let mut config = ServeConfig {
         addr: options.required("addr")?.to_owned(),
         cache_dir: options.get("cache").map(PathBuf::from),

@@ -59,6 +59,9 @@ pub fn report(
     Ok(out)
 }
 
+/// The options this command reads, on top of the ones every command takes.
+pub const OPTIONS: &[&str] = &["graph", "k", "nu", "rounds", "seed"];
+
 /// Runs the subcommand.
 pub fn run(options: &Options) -> Result<(), String> {
     let graph = edgelist::read(std::path::Path::new(options.required("graph")?))?;

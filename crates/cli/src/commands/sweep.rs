@@ -1,5 +1,5 @@
 //! `defender sweep` — run one experiment sharded across worker
-//! processes, with live telemetry and checkpoint-resume.
+//! processes, with checkpoint-resume.
 //!
 //! ```text
 //! defender sweep e15 --shards 4
@@ -14,7 +14,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use defender_bench::shard::WINDOWED;
 use defender_sweep::{run_sweep, SweepConfig};
@@ -23,7 +22,10 @@ use crate::args::{switches, Options};
 
 const USAGE: &str = "usage:\n  \
     defender sweep <experiment> --shards <N> [--out <dir>] [--resume <dir>] [--parallel <M>]\n                \
-    [--jobs <J>] [--profile] [--stall-timeout <SECS>] [--bin-dir <dir>] [--quiet]";
+    [--jobs <J>] [--profile] [--bin-dir <dir>]";
+
+/// The `--key value` options `sweep` reads (`--profile` is a switch).
+const OPTIONS: &[&str] = &["shards", "out", "resume", "parallel", "jobs", "bin-dir"];
 
 /// Runs the `sweep` command.
 ///
@@ -45,8 +47,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             WINDOWED.join(", ")
         ));
     }
-    let ([profile, quiet], option_tokens) = switches(rest, ["--profile", "--quiet"]);
-    let options = Options::parse(&option_tokens)?;
+    let ([profile], option_tokens) = switches(rest, ["--profile"]);
+    let options = Options::parse(&option_tokens, OPTIONS).map_err(|e| format!("{e}\n{USAGE}"))?;
 
     let resume_dir = options.get("resume").map(PathBuf::from);
     let out_dir = match (options.get("out").map(PathBuf::from), &resume_dir) {
@@ -79,7 +81,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     config.resume = resume_dir.is_some();
     config.parallel = options.parse_or("parallel", 0usize)?;
     config.profile = profile;
-    config.quiet = quiet;
     if let Some(jobs) = options.get("jobs") {
         let jobs: usize = jobs
             .parse()
@@ -89,11 +90,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         }
         config.jobs = Some(jobs);
     }
-    let stall_secs: f64 = options.parse_or("stall-timeout", 10.0)?;
-    if !stall_secs.is_finite() || stall_secs <= 0.0 {
-        return Err("option `--stall-timeout` must be positive seconds".to_string());
-    }
-    config.stall_timeout = Duration::from_secs_f64(stall_secs);
 
     let outcome = run_sweep(&config)?;
     if outcome.resumed > 0 {

@@ -65,6 +65,9 @@ pub fn report(
     Ok(out)
 }
 
+/// The options this command reads, on top of the ones every command takes.
+pub const OPTIONS: &[&str] = &["graph", "k", "limit", "cache"];
+
 /// Runs the subcommand.
 pub fn run(options: &Options) -> Result<(), String> {
     let graph = edgelist::read(std::path::Path::new(options.required("graph")?))?;

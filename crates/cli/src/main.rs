@@ -30,6 +30,13 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options every generic command (`generate`, `analyze`, `simulate`,
+/// `value`, `convert`) takes on top of its own.
+const COMMON_OPTIONS: &[&str] = &["jobs", "metrics", "metrics-out", "trace"];
+
+/// The entry point of a generic command.
+type GenericRun = fn(&args::Options) -> Result<(), String>;
+
 fn run(argv: &[String]) -> Result<ExitCode, String> {
     let Some((command, rest)) = argv.split_first() else {
         commands::help::print();
@@ -60,7 +67,16 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         commands::help::run(rest);
         return Ok(ExitCode::SUCCESS);
     }
-    let options = args::Options::parse(rest)?;
+    let (own, command_run): (&[&str], GenericRun) = match command.as_str() {
+        "generate" => (commands::generate::OPTIONS, commands::generate::run),
+        "analyze" => (commands::analyze::OPTIONS, commands::analyze::run),
+        "simulate" => (commands::simulate::OPTIONS, commands::simulate::run),
+        "value" => (commands::value::OPTIONS, commands::value::run),
+        "convert" => (commands::convert::OPTIONS, commands::convert::run),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let known: Vec<&str> = own.iter().chain(COMMON_OPTIONS).copied().collect();
+    let options = args::Options::parse(rest, &known)?;
     if options.get("jobs").is_some() {
         let n: usize = options.required_parse("jobs")?;
         if n == 0 {
@@ -77,14 +93,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     if trace_out.is_some() {
         defender_obs::trace::start();
     }
-    let result = match command.as_str() {
-        "generate" => commands::generate::run(&options),
-        "analyze" => commands::analyze::run(&options),
-        "simulate" => commands::simulate::run(&options),
-        "value" => commands::value::run(&options),
-        "convert" => commands::convert::run(&options),
-        other => Err(format!("unknown command `{other}`")),
-    };
+    let result = command_run(&options);
     if result.is_ok() {
         if let Some(format) = metrics {
             dump_metrics(format);

@@ -74,7 +74,7 @@ pub(crate) const EXACTNESS_ALLOW: &[&str] = &[
 /// Library crates that must replay bit-identically: no wall clock, no
 /// hash-order containers, no ambient randomness (`defender_num::rng` is
 /// the only RNG). `bench` and `cli` are out because timing is their
-/// purpose; `sweep`, `cache` and `serve` are out for the reasons given at
+/// purpose; `cache` and `serve` are out for the reasons given at
 /// [`PANIC_SCOPE`].
 pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
     "crates/num/src",
@@ -87,18 +87,14 @@ pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
     "crates/obs/src",
     "crates/profile/src",
     "crates/lint/src",
+    "crates/sweep/src",
     "src",
 ];
 
 /// Library crates in which every potential panic site needs a fix or a
 /// `// lint: allow(panic) <reason>` annotation.
 ///
-/// `sweep`, `cache` and `serve` are here but not in
-/// [`DETERMINISM_SCOPE`]:
-/// - the sweep runner reads the wall clock (rates, ETAs, stall timeouts)
-///   and its outputs are process-orchestration artifacts; only the merged
-///   counters object is deterministic, which the bench
-///   `sweep_determinism` tests and `ci.sh` enforce end to end;
+/// `cache` and `serve` are here but not in [`DETERMINISM_SCOPE`]:
 /// - the cache times canonicalization (`cache.canon_ns`) off the wall
 ///   clock; its answers stay exact and replay-deterministic, which the
 ///   delta-replay tests enforce directly;
@@ -588,7 +584,7 @@ mod tests {
         let findings = check_determinism(&bad);
         assert_eq!(findings.len(), 2);
         assert!(findings[0].message.contains("HashMap"));
-        let out_of_scope = file("crates/sweep/src/runner.rs", "fn t() { Instant::now(); }\n");
+        let out_of_scope = file("crates/bench/src/timing.rs", "fn t() { Instant::now(); }\n");
         assert!(check_determinism(&out_of_scope).is_empty());
     }
 

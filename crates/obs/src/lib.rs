@@ -53,7 +53,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod json;
-pub mod telemetry;
 pub mod trace;
 
 use std::cell::RefCell;

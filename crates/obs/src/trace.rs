@@ -14,9 +14,9 @@
 //!   so `--trace` and `--metrics` compose freely;
 //! - **no lost events**: every thread owns its own ring buffer, whose
 //!   lock only an exporter copying the ring can contend, so a recording
-//!   thread waits at most for one copy and keeps every event — a live
-//!   reader such as the `--profile` heartbeat cannot unbalance the
-//!   timeline;
+//!   thread waits at most for one copy and keeps every event — an
+//!   in-process reader such as `exp --profile`'s harvest cannot unbalance
+//!   the timeline;
 //! - **bounded memory**: each ring holds at most [`capacity`] events;
 //!   overflow drops the *oldest* event and increments the buffer's drop
 //!   counter, so a long run degrades into "the most recent window" rather

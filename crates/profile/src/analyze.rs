@@ -286,12 +286,6 @@ impl Profile {
     pub fn total_self_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.self_ns).sum()
     }
-
-    /// The hottest span by self time, if any.
-    #[must_use]
-    pub fn top_span(&self) -> Option<&SpanAgg> {
-        self.spans.iter().max_by_key(|s| (s.self_ns, &s.name))
-    }
 }
 
 /// Depth-first flattening with children in name order: deterministic for
@@ -431,7 +425,6 @@ mod tests {
         assert_eq!(p.flame[1].depth, 1);
         assert_eq!(p.overrun, None);
         assert_eq!(p.total_self_ns(), 100);
-        assert_eq!(p.top_span().unwrap().name, "outer");
     }
 
     #[test]
@@ -604,7 +597,6 @@ mod tests {
         assert_eq!(p.lanes, 0);
         assert!(p.spans.is_empty() && p.flame.is_empty());
         assert_eq!(p.critical_path_ns, 0);
-        assert!(p.top_span().is_none());
     }
 
     #[test]

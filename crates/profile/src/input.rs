@@ -118,7 +118,7 @@ impl TraceInput {
 
     /// Harvests the live in-process trace rings (non-destructively), for
     /// profiling a run from inside the run — the `--profile` flag of
-    /// `exp` and the heartbeat's hottest-span readout.
+    /// `exp`.
     ///
     /// Spans still open at harvest time are closed at the current clock
     /// ([`defender_obs::trace::elapsed_ns`]) by the analyzer.

@@ -17,9 +17,7 @@
 //! - a **profile sidecar** in the `BENCH_*.json` schema
 //!   (`prof.self_ns.<span>`, `prof.calls.<span>`,
 //!   `prof.worker_busy_ppm.w*`) so `defender bench diff` gates span-level
-//!   regressions ([`sidecar_json`]),
-//! - a **live heartbeat** for long sweeps ([`Progress`]): instances done,
-//!   rate, ETA, and the hottest span so far, on stderr.
+//!   regressions ([`sidecar_json`]).
 //!
 //! # Jobs invariance
 //!
@@ -53,12 +51,10 @@
 
 mod analyze;
 mod input;
-mod progress;
 mod render;
 mod sidecar;
 
 pub use analyze::{PathAgg, Profile, SpanAgg, WorkerStat};
 pub use input::{Lane, LaneEvent, TraceInput};
-pub use progress::{eta_seconds, rate_per_sec, Progress};
 pub use render::{format_ns, to_json, to_table};
 pub use sidecar::sidecar_json;

@@ -1,8 +1,10 @@
-//! Sweep orchestration: spawn shard workers, stream their telemetry,
-//! checkpoint finished shards, merge sidecars.
+//! Sweep orchestration: spawn shard workers, wait for them, checkpoint
+//! finished shards, merge sidecars.
 //!
-//! Shard `i` of `N` runs `exp <experiment> --shard i/N --telemetry` (plus
-//! the forwarded `--jobs` and `--profile`) in its shard directory.
+//! Shard `i` of `N` runs `exp <experiment> --shard i/N` (plus the
+//! forwarded `--jobs` and `--profile`) in its shard directory. The runner
+//! keeps at most `parallel` workers alive and reaps them with
+//! `try_wait`, checking every [`POLL`].
 //!
 //! One sweep = one output directory. Layout:
 //!
@@ -12,7 +14,7 @@
 //!   shard_<i>/
 //!     BENCH_<exp>.json    the worker's own sidecar (written by the worker;
 //!                         the worker runs with this directory as its cwd)
-//!     console.log         non-telemetry stdout lines
+//!     console.log         worker stdout
 //!     stderr.log          worker stderr
 //!     PID                 worker pid (for kill-based smoke tests)
 //!     DONE                checkpoint marker, written only after the
@@ -26,17 +28,18 @@
 //! an interrupted-then-resumed sweep is byte-identical (counters object)
 //! to an uninterrupted one.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use defender_bench::diff::Sidecar;
 
 use crate::merge::merge_sidecars;
-use crate::monitor::Monitor;
-use crate::protocol::{parse_line, ShardEvent};
+
+/// How long the runner sleeps when no worker has finished since its last
+/// check: a shard's exit is noticed at most this late.
+const POLL: Duration = Duration::from_millis(5);
 
 /// Configuration for one sweep run.
 #[derive(Clone, Debug)]
@@ -59,13 +62,9 @@ pub struct SweepConfig {
     /// Forward `--profile` to workers (span profile in each shard's
     /// sidecar and stderr).
     pub profile: bool,
-    /// Silence past this duration flags a shard as stalled.
-    pub stall_timeout: Duration,
     /// Stop (without merging) after this many *newly* finished shards —
     /// deterministic interruption for checkpoint-resume tests.
     pub stop_after: Option<u64>,
-    /// Suppress the live dashboard.
-    pub quiet: bool,
 }
 
 impl SweepConfig {
@@ -81,9 +80,7 @@ impl SweepConfig {
             parallel: 0,
             jobs: None,
             profile: false,
-            stall_timeout: Duration::from_secs(10),
             stop_after: None,
-            quiet: false,
         }
     }
 }
@@ -101,17 +98,10 @@ pub struct SweepOutcome {
     pub stopped_early: bool,
 }
 
-/// Messages the per-shard stdout reader threads send to the main loop.
-enum Msg {
-    Event(usize, ShardEvent),
-    Console(usize, String),
-    Eof,
-}
-
 /// One live worker.
 struct Worker {
     shard: usize,
-    child: std::process::Child,
+    child: Child,
 }
 
 /// Runs a sweep to completion (or to `stop_after`).
@@ -136,79 +126,47 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
     std::fs::create_dir_all(&config.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", config.out_dir.display()))?;
     check_manifest(config)?;
-    defender_obs::enable();
-    defender_obs::gauge!("sw.shards").set(config.shards);
 
     let shard_count = usize::try_from(config.shards).map_err(|_| "too many shards")?;
-    let mut monitor = Monitor::new(&config.experiment, config.shards, config.stall_timeout);
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    let mut resumed = 0u64;
-    for shard in 0..shard_count {
-        if config.resume && checkpoint_valid(&shard_dir(config, shard)) {
-            monitor.mark_resumed(shard);
-            resumed += 1;
-        } else {
-            pending.push_back(shard);
-        }
-    }
-    if resumed > 0 {
-        defender_obs::counter!("sw.resumed").add(resumed);
-    }
+    let (sealed, pending): (Vec<usize>, Vec<usize>) = (0..shard_count)
+        .partition(|&shard| config.resume && checkpoint_valid(&shard_dir(config, shard)));
+    let resumed = sealed.len() as u64;
+    let mut pending = pending.into_iter();
 
     let parallel = if config.parallel == 0 {
-        shard_count.max(1)
+        shard_count
     } else {
         config.parallel
     };
-    let (tx, rx) = mpsc::channel::<Msg>();
     let mut workers: Vec<Worker> = Vec::new();
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut consoles: Vec<Option<std::fs::File>> = (0..shard_count).map(|_| None).collect();
     let mut completed = 0u64;
     let mut failures: Vec<String> = Vec::new();
     let mut stopped_early = false;
-    let mut painter = Painter::new(config.quiet);
 
     loop {
         while workers.len() < parallel && !stopped_early {
-            let Some(shard) = pending.pop_front() else {
+            let Some(shard) = pending.next() else {
                 break;
             };
-            let (worker, reader, console) = spawn_shard(config, shard, &tx)?;
-            monitor.mark_spawned(shard, Instant::now());
-            workers.push(worker);
-            readers.push(reader);
-            consoles[shard] = Some(console);
+            workers.push(spawn_shard(config, shard)?);
         }
-        if workers.is_empty() && (pending.is_empty() || stopped_early) {
+        if workers.is_empty() {
             break;
         }
 
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Msg::Event(shard, event)) => monitor.apply(shard, &event, Instant::now()),
-            Ok(Msg::Console(shard, line)) => {
-                if let Some(file) = consoles.get_mut(shard).and_then(Option::as_mut) {
-                    let _ = writeln!(file, "{line}");
-                }
-            }
-            Ok(Msg::Eof) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-
-        let mut still_running = Vec::new();
+        let live = workers.len();
+        let mut still_running = Vec::with_capacity(live);
         for mut worker in workers {
             match worker.child.try_wait() {
                 Ok(Some(status)) => {
                     let shard = worker.shard;
                     let dir = shard_dir(config, shard);
                     if status.success() && seal_checkpoint(&dir).is_ok() {
-                        monitor.mark_done(shard);
                         completed += 1;
                         if config.stop_after.is_some_and(|k| completed >= k) {
                             stopped_early = true;
                         }
                     } else {
-                        monitor.mark_failed(shard);
                         failures.push(format!(
                             "shard {shard} failed ({status}); see {}",
                             dir.join("stderr.log").display()
@@ -216,10 +174,7 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
                     }
                 }
                 Ok(None) => still_running.push(worker),
-                Err(e) => {
-                    monitor.mark_failed(worker.shard);
-                    failures.push(format!("shard {}: wait failed: {e}", worker.shard));
-                }
+                Err(e) => failures.push(format!("shard {}: wait failed: {e}", worker.shard)),
             }
         }
         workers = still_running;
@@ -231,16 +186,10 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
                 let _ = worker.child.wait();
             }
             workers.clear();
+        } else if workers.len() == live {
+            std::thread::sleep(POLL);
         }
-
-        monitor.tick(Instant::now());
-        painter.maybe_draw(&monitor);
     }
-    drop(tx);
-    for reader in readers {
-        let _ = reader.join();
-    }
-    painter.finish(&monitor);
 
     if !failures.is_empty() {
         return Err(failures.join("\n"));
@@ -324,13 +273,10 @@ fn seal_checkpoint(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns one shard worker with its stdout reader thread. The worker's
-/// cwd is its shard directory, so its `BENCH_*.json` lands there.
-fn spawn_shard(
-    config: &SweepConfig,
-    shard: usize,
-    tx: &mpsc::Sender<Msg>,
-) -> Result<(Worker, std::thread::JoinHandle<()>, std::fs::File), String> {
+/// Spawns one shard worker. Its cwd is its shard directory, so its
+/// `BENCH_*.json` lands there; its stdout goes to `console.log` and its
+/// stderr to `stderr.log`.
+fn spawn_shard(config: &SweepConfig, shard: usize) -> Result<Worker, String> {
     let dir = shard_dir(config, shard);
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     // A re-run (resume after interruption) must not inherit stale output.
@@ -340,56 +286,33 @@ fn spawn_shard(
     if let Some(old) = find_sidecar(&dir) {
         let _ = std::fs::remove_file(old);
     }
-    let stderr = std::fs::File::create(dir.join("stderr.log"))
-        .map_err(|e| format!("cannot create stderr.log in {}: {e}", dir.display()))?;
-    let console = std::fs::File::create(dir.join("console.log"))
-        .map_err(|e| format!("cannot create console.log in {}: {e}", dir.display()))?;
-    let mut command = std::process::Command::new(&config.binary);
+    let log = |name: &str| {
+        File::create(dir.join(name))
+            .map_err(|e| format!("cannot create {name} in {}: {e}", dir.display()))
+    };
+    let mut command = Command::new(&config.binary);
     command
         .current_dir(&dir)
         .arg(&config.experiment)
         .arg("--shard")
         .arg(format!("{shard}/{}", config.shards))
-        .arg("--telemetry")
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::from(stderr));
+        .stdin(Stdio::null())
+        .stdout(log("console.log")?)
+        .stderr(log("stderr.log")?);
     if let Some(jobs) = config.jobs {
         command.arg("--jobs").arg(jobs.to_string());
     }
     if config.profile {
         command.arg("--profile");
     }
-    let mut child = command.spawn().map_err(|e| {
+    let child = command.spawn().map_err(|e| {
         format!(
             "cannot spawn {} for shard {shard}: {e}",
             config.binary.display()
         )
     })?;
     let _ = std::fs::write(dir.join("PID"), format!("{}\n", child.id()));
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| format!("no stdout pipe for shard {shard}"))?;
-    let tx = tx.clone();
-    let reader = std::thread::Builder::new()
-        .name(format!("shard-{shard}-reader"))
-        .spawn(move || {
-            let buffered = std::io::BufReader::new(stdout);
-            for line in buffered.lines() {
-                let Ok(line) = line else { break };
-                let msg = match parse_line(&line) {
-                    Some(event) => Msg::Event(shard, event),
-                    None => Msg::Console(shard, line),
-                };
-                if tx.send(msg).is_err() {
-                    break;
-                }
-            }
-            let _ = tx.send(Msg::Eof);
-        })
-        .map_err(|e| format!("cannot spawn reader thread for shard {shard}: {e}"))?;
-    Ok((Worker { shard, child }, reader, console))
+    Ok(Worker { shard, child })
 }
 
 /// Loads every shard sidecar in shard order, merges them, and writes the
@@ -415,63 +338,6 @@ fn merge_shards(config: &SweepConfig, shard_count: usize) -> Result<PathBuf, Str
     Ok(path)
 }
 
-/// Stderr dashboard painter: in-place ANSI redraw on a terminal, silent
-/// otherwise (state transitions still reach the user through the final
-/// summary, and CI logs stay readable).
-struct Painter {
-    quiet: bool,
-    ansi: bool,
-    last_height: usize,
-    last_draw: Option<Instant>,
-}
-
-impl Painter {
-    fn new(quiet: bool) -> Painter {
-        use std::io::IsTerminal;
-        Painter {
-            quiet,
-            ansi: std::io::stderr().is_terminal(),
-            last_height: 0,
-            last_draw: None,
-        }
-    }
-
-    fn maybe_draw(&mut self, monitor: &Monitor) {
-        if self.quiet || !self.ansi {
-            return;
-        }
-        let due = self
-            .last_draw
-            .map_or(true, |at| at.elapsed() >= Duration::from_millis(250));
-        if due {
-            self.draw(monitor);
-        }
-    }
-
-    fn draw(&mut self, monitor: &Monitor) {
-        let rendered = monitor.render();
-        let mut err = std::io::stderr().lock();
-        if self.last_height > 0 {
-            let _ = write!(err, "\x1b[{}A\x1b[J", self.last_height);
-        }
-        let _ = err.write_all(rendered.as_bytes());
-        let _ = err.flush();
-        self.last_height = rendered.lines().count();
-        self.last_draw = Some(Instant::now());
-    }
-
-    fn finish(&mut self, monitor: &Monitor) {
-        if self.quiet {
-            return;
-        }
-        if self.ansi {
-            self.draw(monitor);
-        } else {
-            let _ = write!(std::io::stderr().lock(), "{}", monitor.render());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,7 +349,6 @@ mod tests {
         let config = SweepConfig::new("e1", PathBuf::from("x"), 3, PathBuf::from("y"));
         assert_eq!(config.parallel, 0, "0 = all shards at once");
         assert!(!config.resume);
-        assert_eq!(config.stall_timeout, Duration::from_secs(10));
     }
 
     #[test]
