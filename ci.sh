@@ -216,9 +216,7 @@ echo "== serve gate =="
 # zero cache.misses delta, zero lp.simplex.pivots delta — a warm server
 # does no solver work), and the two sidecars' judged `counters` objects
 # must be byte-identical: the judged view is a pure function of the
-# served class set, never of warmth, --jobs, or arrival order. The warm
-# server runs at a different --jobs width to pin the jobs-invariance
-# half of that claim in the same diff.
+# served class set, never of warmth or arrival order.
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
 trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$SERVE_DIR"' EXIT
@@ -241,7 +239,7 @@ serve_start "$SERVE_DIR/cold.log" --cache "$SERVE_DIR/memo"
   --addr "$SERVE_ADDR" --expect cold --shutdown > /dev/null)
 wait "$SERVE_PID"
 
-serve_start "$SERVE_DIR/warm.log" --cache "$SERVE_DIR/memo" --jobs 3
+serve_start "$SERVE_DIR/warm.log" --cache "$SERVE_DIR/memo"
 (cd "$SERVE_DIR/warm" && "$OLDPWD"/target/release/exp_serve_load \
   --addr "$SERVE_ADDR" --expect warm --shutdown > /dev/null)
 wait "$SERVE_PID"
@@ -258,12 +256,13 @@ target/release/defender bench diff \
   "$SERVE_DIR/cold/BENCH_serve.json"
 
 echo "== serve overload gate =="
-# A tiny queue and a long batch window force the load governor's hand:
-# the flood of distinct fresh classes must shed with 429 + Retry-After
-# past the watermark while an already-warm class keeps answering 200
-# hits (the loadgen asserts all three, and shuts the server down even on
-# its failure path).
-serve_start "$SERVE_DIR/overload.log" --max-queue 4 --batch-window-ms 400
+# A tiny --max-queue forces the load governor's hand: eight clients
+# flooding slow fresh classes (k = 2 paths of 30 to 41 vertices) keep
+# more classes solving at once than the watermark of 3 allows, so new
+# classes must shed with 429 + Retry-After while an already-warm class
+# keeps answering 200 hits (the loadgen asserts all three, and shuts the
+# server down even on its failure path).
+serve_start "$SERVE_DIR/overload.log" --max-queue 4
 target/release/exp_serve_load --addr "$SERVE_ADDR" \
   --overload --clients 8 --requests 32 --shutdown > /dev/null
 wait "$SERVE_PID"

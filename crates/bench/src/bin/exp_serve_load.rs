@@ -5,10 +5,10 @@
 //! keep-alive HTTP/1.1 connections, then writes a `BENCH_serve.json`
 //! sidecar whose judged `counters` object is reconstructed from the
 //! server's `/v1/metrics` `judged` view — the per-class stored-delta
-//! sums that are invariant to cache warmth, `--jobs`, request
-//! multiplicity, and arrival order. Everything warmth- or
-//! traffic-variant (`srv.*`, `cache.*` live values) lands in the
-//! run-variant `parallelism` section that `bench diff` never judges.
+//! sums that are invariant to cache warmth, request multiplicity, and
+//! arrival order. Everything warmth- or traffic-variant (`srv.*`,
+//! `cache.*` live values) lands in the run-variant `parallelism`
+//! section that `bench diff` never judges.
 //!
 //! Modes:
 //!
@@ -18,10 +18,10 @@
 //!   per distinct canonical class, a warm run is solve-free (every
 //!   response `"cache": "hit"`, zero `cache.misses` delta, zero
 //!   `lp.simplex.pivots` delta).
-//! - `--overload` — warm one class, flood the server with distinct
-//!   fresh classes from all clients, and assert the governor sheds at
+//! - `--overload` — warm one class, flood the server with slow fresh
+//!   classes from all clients, and assert the governor sheds at
 //!   least one request with 429 + `Retry-After` while the warm class
-//!   keeps serving 200 hits throughout.
+//!   keeps serving 200 hits.
 //! - `--requests 0 --shutdown` — just stop a running server.
 
 use std::net::SocketAddr;
@@ -35,9 +35,8 @@ use defender_graph::Graph;
 use defender_obs::json::{self, JsonValue};
 use defender_serve::client::{Client, Response};
 
-/// Connect/read timeout for every client connection. Generous: a queued
-/// miss can legitimately wait out the server's batch window plus a
-/// solve.
+/// Connect/read timeout for every client connection. Generous: a miss
+/// can legitimately wait out a slow solve.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long to poll `/v1/healthz` before declaring the server absent.
@@ -507,10 +506,9 @@ fn write_sidecar(metrics: &JsonValue, distinct: usize, elapsed: Duration) -> Res
 }
 
 /// `--overload`: point this at a server started with a tiny
-/// `--max-queue` and a long `--batch-window-ms`. Warms one class, floods
-/// distinct fresh classes from every client, and asserts the load
-/// governor sheds with 429 + `Retry-After` while the warm class stays
-/// servable.
+/// `--max-queue`. Warms one class, floods slow fresh classes from every
+/// client, and asserts the load governor sheds with 429 + `Retry-After`
+/// while the warm class stays servable.
 fn run_overload(options: &Options) -> Result<(), String> {
     let warm_body = format!(
         r#"{{"graph6": "{}", "k": 1, "nu": 1}}"#,
@@ -553,11 +551,13 @@ fn run_overload(options: &Options) -> Result<(), String> {
                     }
                 };
                 for j in 0..per_client {
-                    // Distinct path lengths → distinct canonical classes,
-                    // so every flood request is a genuine miss.
-                    let n = 8 + worker * per_client + j;
+                    // Paths P30..P41 at k = 2 take tens to hundreds of
+                    // milliseconds each, so the clients' concurrent
+                    // misses keep more classes solving than the
+                    // watermark allows.
+                    let n = 30 + (j * options.clients + worker) % 12;
                     let body = format!(
-                        r#"{{"graph6": "{}", "k": 1, "nu": 1}}"#,
+                        r#"{{"graph6": "{}", "k": 2, "nu": 1}}"#,
                         json_str(&to_graph6(&generators::path(n)))
                     );
                     match client.solve(&body) {

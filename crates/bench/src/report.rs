@@ -332,8 +332,8 @@ mod tests {
     #[test]
     fn srv_metrics_are_segregated_like_par() {
         // Serving counters split by cache warmth and traffic shape
-        // (hit/miss/coalesced, queue depth); they must never land in the
-        // judged counters object the bench gate diffs.
+        // (hit/miss/coalesced, classes in flight); they must never land
+        // in the judged counters object the bench gate diffs.
         let snapshot = defender_obs::Snapshot {
             counters: vec![
                 ("algo.pivots".to_string(), 7),
@@ -341,7 +341,7 @@ mod tests {
                 ("srv.misses".to_string(), 2),
                 ("cache.hits".to_string(), 41),
             ],
-            gauges: vec![("srv.queue_depth".to_string(), 3)],
+            gauges: vec![("srv.inflight".to_string(), 3)],
             histograms: Vec::new(),
         };
         let mut report = RunReport::new("unit");
@@ -350,7 +350,7 @@ mod tests {
         assert!(json.contains(r#""counters": {"algo.pivots": 7}"#), "{json}");
         assert!(json.contains(r#""srv.hits": 40"#), "{json}");
         assert!(json.contains(r#""srv.misses": 2"#), "{json}");
-        assert!(json.contains(r#""srv.queue_depth": 3"#), "{json}");
+        assert!(json.contains(r#""srv.inflight": 3"#), "{json}");
         assert!(json.contains(r#""cache.hits": 41"#), "{json}");
     }
 

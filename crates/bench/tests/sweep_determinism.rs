@@ -143,3 +143,25 @@ fn resume_with_a_different_shape_is_rejected() {
     assert!(err.contains("resume mismatch"), "{err}");
     let _ = std::fs::remove_dir_all(&out_dir);
 }
+
+#[test]
+fn a_shard_that_cannot_start_stops_the_ones_already_running() {
+    let out_dir = temp_dir("spawn-error");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    // Shard 1's directory is a regular file, so shard 1 cannot start
+    // after shard 0 already has.
+    std::fs::write(out_dir.join("shard_1"), "not a directory").unwrap();
+    let config = SweepConfig::new("e15", worker_binary(), 2, out_dir.clone());
+    let err = defender_sweep::run_sweep(&config).expect_err("shard 1 cannot start");
+    assert!(err.contains("shard_1"), "{err}");
+    // A worker left running would write its sidecar well within this.
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let leftovers: Vec<_> = std::fs::read_dir(out_dir.join("shard_0"))
+        .unwrap()
+        .flatten()
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("BENCH_"))
+        .collect();
+    assert!(leftovers.is_empty(), "shard 0 kept running: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&out_dir);
+}

@@ -354,6 +354,23 @@ impl EquilibriumCache {
         Some(eq)
     }
 
+    /// Copies every entry of `other` into this memo, replacing any under
+    /// the same key, and marks the store dirty if anything was copied.
+    /// The copies are allocated on the calling thread, so `other` may be
+    /// a scratch memo that another thread solved into and still owns.
+    pub fn adopt(&self, other: &EquilibriumCache) {
+        let entries: Vec<(CacheKey, CacheEntry)> = other
+            .guard()
+            .iter()
+            .map(|(key, entry)| (key.clone(), entry.clone()))
+            .collect();
+        if entries.is_empty() {
+            return;
+        }
+        self.guard().extend(entries);
+        self.dirty.store(true, Ordering::Release);
+    }
+
     /// Sums the stored per-class counter deltas over `keys`, name-sorted.
     ///
     /// This is the offline half of the [`probe`](Self::probe) contract:
@@ -1046,6 +1063,30 @@ mod tests {
         let missing: CacheKey = ("~~~bogus".to_owned(), 3, 2);
         assert!(cache.replay_sums([&missing]).is_empty());
         assert_eq!(cache.replay_sums([&k1]), cache.replay_sums([&k1, &missing]));
+    }
+
+    #[test]
+    fn adopted_entries_serve_hits_and_replay_like_solved_ones() {
+        let graph = generators::petersen();
+        let game = TupleGame::new(&graph, 2, 1).unwrap();
+        let form = canonical_form(&graph);
+        let key: CacheKey = (form.key(), 2, 1);
+        let scratch = EquilibriumCache::in_memory();
+        let solved = scratch.solve(&game, LIMIT).unwrap();
+
+        let cache = EquilibriumCache::in_memory();
+        cache.adopt(&EquilibriumCache::in_memory());
+        assert!(cache.is_empty() && !cache.is_dirty(), "nothing to adopt");
+        cache.adopt(&scratch);
+        drop(scratch);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.is_dirty(), "an adopted entry must reach the sidecar");
+        let hit = cache.probe(&game, &form, LIMIT).unwrap();
+        assert_eq!(hit.value, solved.value);
+        assert_eq!(hit.defender_gain, solved.defender_gain);
+        let reference = EquilibriumCache::in_memory();
+        reference.solve(&game, LIMIT).unwrap();
+        assert_eq!(cache.replay_sums([&key]), reference.replay_sums([&key]));
     }
 
     #[test]

@@ -75,9 +75,9 @@ scopes built in) and exits with code 2 on findings —
 `defender help lint` has the full story.
 
 `serve` answers equilibrium queries over HTTP, cache-first: isomorphic
-repeats are served from the memo without touching the LP, distinct
-concurrent misses are micro-batched onto the worker pool, and overload
-sheds with 429 + Retry-After — `defender help serve` has the full story.
+repeats are served from the memo without touching the LP, a miss is
+solved by the request that found it, and overload sheds with 429 +
+Retry-After — `defender help serve` has the full story.
 
 FORMATS: edges (default; `u v` per line) and graph6.
 
@@ -158,7 +158,7 @@ EXAMPLES:
 /// Prints the `defender help serve` topic page.
 fn print_serve() {
     println!(
-        "defender serve — cache-first batched equilibrium serving over HTTP
+        "defender serve — cache-first equilibrium serving over HTTP
 
 USAGE:
   defender serve --addr <HOST:PORT> [options]
@@ -171,16 +171,11 @@ OPTIONS:
   --addr <HOST:PORT>      bind address (required)
   --cache <DIR>           persistent equilibrium memo (see `defender
                           help cache`); in-memory when absent
-  --jobs <N>              worker-pool width for batched solves
-                          (default: available parallelism)
-  --batch-window-ms <W>   linger this long to micro-batch distinct
-                          concurrent misses (default: 5)
-  --max-queue <Q>         bound on queued solve classes; requests shed
-                          with 429 past the ¾ watermark (default: 64)
+  --max-queue <Q>         bound on classes solving at once; a new class
+                          sheds with 429 past the ¾ watermark
+                          (default: 64)
   --max-body <BYTES>      request body bound, 413 beyond it
                           (default: 65536)
-  --deadline-ms <D>       per-request solve deadline, 503 beyond it
-                          (default: 10000)
   --max-vertices <V>      largest instance the server will solve,
                           422 beyond it (default: 64)
   --max-connections <C>   concurrent-connection bound, 503 beyond it
@@ -202,13 +197,15 @@ HOW IT WORKS:
   Every request is canonicalized and probed against the equilibrium
   cache first: isomorphic repeats are pure lookups (no LP, no replay —
   a warm server shows zero live lp.* activity). Concurrent requests for
-  the same canonical class coalesce onto one in-flight solve; distinct
-  misses inside the batch window are solved as one parallel batch on
-  the defender-par pool. Bounded queues govern overload: past the
-  watermark requests shed immediately with 429 + Retry-After rather
+  the same canonical class coalesce onto one in-flight solve, which the
+  first of them runs on a thread of its own, so a slow class holds up
+  only its own requests. Past the watermark of classes solving
+  at once, a new class sheds immediately with 429 + Retry-After rather
   than queueing without bound. Errors are typed JSON
   ({{\"error\": {{\"kind\", \"message\"}}}}) with the graph6 decode kinds
-  surfaced verbatim (TrailingData, NonzeroPadding, ...).
+  surfaced verbatim (TrailingData, NonzeroPadding, ...); nu must lie in
+  1..=1000, and a request whose handling panics answers a 500 Internal
+  while the server keeps serving.
 
   The exp_serve_load generator drives a seeded isomorph-heavy mix at a
   running server and writes BENCH_serve.json whose judged counters are

@@ -1,5 +1,5 @@
-//! `defender serve` — cache-first batched equilibrium serving over a
-//! std-only HTTP front (see DESIGN.md §16).
+//! `defender serve` — cache-first equilibrium serving over a std-only
+//! HTTP front (see DESIGN.md §16).
 //!
 //! ```text
 //! defender serve --addr 127.0.0.1:8080 --cache ./memo
@@ -11,26 +11,21 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use defender_serve::{ServeConfig, Server};
 
 use crate::args::Options;
 
 const USAGE: &str = "usage:\n  \
-    defender serve --addr <HOST:PORT> [--cache <DIR>] [--jobs <N>] [--batch-window-ms <W>]\n                 \
-    [--max-queue <Q>] [--max-body <BYTES>] [--deadline-ms <D>] [--max-vertices <V>]\n                 \
-    [--max-connections <C>]";
+    defender serve --addr <HOST:PORT> [--cache <DIR>] [--max-queue <Q>] [--max-body <BYTES>]\n                 \
+    [--max-vertices <V>] [--max-connections <C>]";
 
 /// The options `serve` reads.
 const OPTIONS: &[&str] = &[
     "addr",
     "cache",
-    "jobs",
-    "batch-window-ms",
     "max-queue",
     "max-body",
-    "deadline-ms",
     "max-vertices",
     "max-connections",
 ];
@@ -48,19 +43,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         cache_dir: options.get("cache").map(PathBuf::from),
         ..ServeConfig::default()
     };
-    config.jobs = options.parse_or("jobs", config.jobs)?;
-    if let Some(window) = options.get("batch-window-ms") {
-        let ms: u64 = window
-            .parse()
-            .map_err(|_| format!("bad --batch-window-ms `{window}`"))?;
-        config.batch_window = Duration::from_millis(ms);
-    }
-    if let Some(deadline) = options.get("deadline-ms") {
-        let ms: u64 = deadline
-            .parse()
-            .map_err(|_| format!("bad --deadline-ms `{deadline}`"))?;
-        config.deadline = Duration::from_millis(ms);
-    }
     config.max_queue = options.parse_or("max-queue", config.max_queue)?;
     config.max_body = options.parse_or("max-body", config.max_body)?;
     config.max_vertices = options.parse_or("max-vertices", config.max_vertices)?;

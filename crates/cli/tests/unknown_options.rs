@@ -22,6 +22,12 @@ fn unknown_options_fail_by_name_before_running() {
         ("sweep e1 --shards 2 --quiet", "--quiet"),
         ("sweep e1 --shards 2 --paralel 1", "--paralel"),
         ("serve --addr 127.0.0.1:0 --workers 2", "--workers"),
+        (
+            "serve --addr 127.0.0.1:0 --batch-window-ms 5",
+            "--batch-window-ms",
+        ),
+        ("serve --addr 127.0.0.1:0 --jobs 2", "--jobs"),
+        ("serve --addr 127.0.0.1:0 --deadline-ms 10", "--deadline-ms"),
         ("profile t.json --top 3 --limit 1", "--limit"),
         ("bench validate-trace t.json --threads 2", "--threads"),
     ] {

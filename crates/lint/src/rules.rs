@@ -98,11 +98,11 @@ pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
 /// - the cache times canonicalization (`cache.canon_ns`) off the wall
 ///   clock; its answers stay exact and replay-deterministic, which the
 ///   delta-replay tests enforce directly;
-/// - a server reads the wall clock (batch linger windows, request
-///   deadlines, latency histograms, flush intervals) and its live `srv.*`
-///   telemetry is traffic-shaped by design; its answers stay exact and
-///   its judged counters warmth- and jobs-invariant, which the serve
-///   tests and the `ci.sh` serve gate enforce.
+/// - a server reads the wall clock (latency histograms, flush intervals,
+///   the idle-connection timeout) and its live `srv.*` telemetry is
+///   traffic-shaped by design; its answers stay exact and its judged
+///   counters warmth-invariant, which the serve tests and the `ci.sh`
+///   serve gate enforce.
 pub(crate) const PANIC_SCOPE: &[&str] = &[
     "crates/num/src",
     "crates/graph/src",

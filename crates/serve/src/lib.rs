@@ -1,15 +1,18 @@
-//! `defender-serve`: cache-first batched equilibrium serving over a
-//! std-only HTTP front.
+//! `defender-serve`: cache-first equilibrium serving over a std-only
+//! HTTP front.
 //!
 //! This crate turns the batch solver into an always-on service. The
-//! front is a hand-rolled HTTP/1.1 listener ([`http`]); the engine
-//! behind it ([`solver`]) is cache-first — every request canonicalizes
-//! its graph and probes the [`defender_cache`] memo, so isomorphic
-//! re-queries are answered in O(canonical form) without touching the
-//! LP — with in-flight coalescing (one solve fans out to all concurrent
-//! waiters of a class) and micro-batched misses fanned over
-//! [`defender_par`]. Overload sheds with `429 + Retry-After` instead of
-//! queueing unboundedly.
+//! front is a hand-rolled HTTP/1.1 listener ([`http`]) with one thread
+//! per connection; the engine behind it ([`solver`]) is cache-first —
+//! every request canonicalizes its graph and probes the
+//! [`defender_cache`] memo, so isomorphic re-queries are answered in
+//! O(canonical form) without touching the LP — with in-flight
+//! coalescing (one solve fans out to all concurrent waiters of a class),
+//! and a miss is solved by the request that found it, on a scoped thread
+//! it joins.
+//! Overload sheds with `429 + Retry-After` instead of queueing
+//! unboundedly, and a request whose handling panics costs only itself a
+//! typed 500.
 //!
 //! # Endpoints
 //!
@@ -17,17 +20,17 @@
 //! |---|---|
 //! | `POST /v1/solve` | graph6 or edge list + `(k, ν)` → equilibrium |
 //! | `GET /v1/metrics` | obs snapshot + judged counters |
-//! | `GET /v1/healthz` | liveness + queue depth |
+//! | `GET /v1/healthz` | liveness, cached classes, open connections |
 //! | `POST /v1/shutdown` | graceful stop (flushes the cache sidecar) |
 //!
 //! # Telemetry
 //!
 //! The request path ticks `srv.*` counters (requests, hits, misses,
-//! coalesced, batches, shed, ...), a queue-depth gauge, and latency /
-//! batch-size histograms, and wraps requests and batch rounds in
-//! `span!` lanes, so `defender profile` and the bench gate cover
-//! serving like any experiment. Live counters are warm-variant by
-//! design; the jobs/warmth-invariant judged view is exposed as the
+//! coalesced, shed, panics, ...), an in-flight-classes gauge, and a
+//! latency histogram, and wraps each request in a `span!` lane, so
+//! `defender profile` and the bench gate cover serving like any
+//! experiment. Live counters are warm-variant by
+//! design; the warmth-invariant judged view is exposed as the
 //! `judged` object of `GET /v1/metrics` (see [`solver`] docs).
 
 #![warn(missing_docs, missing_debug_implementations)]
@@ -57,23 +60,21 @@ use crate::api::{parse_solve_request, render_error, render_solve_response, Solve
 use crate::http::{HttpError, ReadOutcome, RequestReader};
 use crate::solver::{request_game, Solver, SolverConfig, TUPLE_LIMIT};
 
-/// Server tunables; every knob has a CLI flag.
+/// How long a connection may sit idle between requests before its
+/// thread lets it go.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(15);
+
+/// Server tunables; every knob but `flush_interval` has a CLI flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
     /// Cache directory for the persisted sidecar (in-memory when absent).
     pub cache_dir: Option<PathBuf>,
-    /// Worker-pool width for batched solves (0 = all cores).
-    pub jobs: usize,
-    /// Micro-batch linger window for distinct concurrent misses.
-    pub batch_window: Duration,
-    /// Bound on queued solve classes; sheds past ¾ of this.
+    /// Bound on classes solving at once; sheds past ¾ of this.
     pub max_queue: usize,
     /// Request body bound in bytes (413 beyond it).
     pub max_body: usize,
-    /// Per-request solve deadline.
-    pub deadline: Duration,
     /// Largest instance (vertices) the server will solve.
     pub max_vertices: usize,
     /// Concurrent-connection bound (503 beyond it).
@@ -87,11 +88,8 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             cache_dir: None,
-            jobs: 0,
-            batch_window: Duration::from_millis(5),
             max_queue: 64,
             max_body: 64 * 1024,
-            deadline: Duration::from_secs(10),
             max_vertices: 64,
             max_connections: 64,
             flush_interval: Duration::from_secs(2),
@@ -126,17 +124,13 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds, starts the solve engine and accept/flusher threads, and
-    /// returns without blocking. `defender_par` width is set from
-    /// `config.jobs`.
+    /// returns without blocking.
     ///
     /// # Errors
     ///
     /// Bind failures and cache-open failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         obs::enable();
-        if config.jobs > 0 {
-            defender_par::set_jobs(config.jobs);
-        }
         let cache = Arc::new(match &config.cache_dir {
             Some(dir) => EquilibriumCache::open(dir)?,
             None => EquilibriumCache::in_memory(),
@@ -144,9 +138,7 @@ impl Server {
         let solver = Solver::start(
             Arc::clone(&cache),
             SolverConfig {
-                batch_window: config.batch_window,
                 max_queue: config.max_queue,
-                deadline: config.deadline,
             },
         );
         let listener = TcpListener::bind(&config.addr)?;
@@ -185,7 +177,8 @@ impl Server {
     }
 
     /// Blocks until the server stops (via [`Server::shutdown`] or a
-    /// `POST /v1/shutdown`), then flushes the cache sidecar.
+    /// `POST /v1/shutdown`) and every class being solved has settled,
+    /// then flushes the cache sidecar.
     pub fn wait(&self) {
         let accept = self.lock_thread(&self.accept);
         if let Some(handle) = accept {
@@ -295,11 +288,11 @@ fn flush_loop(shared: &Shared) {
 
 /// Serves one connection: strict incremental parsing, pipelining, and a
 /// close on the first unframeable request. A peer disconnecting
-/// mid-response surfaces as a write error and simply ends the loop —
-/// no panic path is reachable from the network.
+/// mid-response surfaces as a write error and simply ends the loop, and
+/// a request whose handling panics answers a typed 500 and closes only
+/// this connection.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    // Idle/stalled peers release the thread after the deadline + slack.
-    let _ = stream.set_read_timeout(Some(shared.config.deadline + Duration::from_secs(5)));
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let mut reader = RequestReader::new(shared.config.max_body);
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -317,8 +310,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 let _span = obs::span!("srv.request");
                 obs::counter!("srv.requests").incr();
                 let t0 = obs::trace::elapsed_ns();
-                let keep_alive = request.keep_alive;
-                let (status, body, retry_after) = route(&request, shared);
+                let ((status, body, retry_after), completed) =
+                    catch_panic(|| route(&request, shared));
+                let keep_alive = request.keep_alive && completed;
                 obs::histogram!("srv.latency_ns")
                     .record(obs::trace::elapsed_ns().saturating_sub(t0));
                 if status >= 400 {
@@ -340,14 +334,35 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// One endpoint's answer: status, JSON body, and `Retry-After` seconds.
+type Reply = (u16, Vec<u8>, Option<u64>);
+
+/// Runs one request's handler behind an unwind boundary. A panic costs
+/// only that request: it answers a typed `500 Internal` and ticks
+/// `srv.panics`, and the returned `false` tells the caller to close the
+/// connection.
+fn catch_panic(handler: impl FnOnce() -> Reply) -> (Reply, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)) {
+        Ok(reply) => (reply, true),
+        Err(_) => {
+            obs::counter!("srv.panics").incr();
+            let err = HttpError {
+                status: 500,
+                kind: "Internal",
+                message: "the request handler panicked".to_owned(),
+            };
+            ((err.status, render_error(&err), None), false)
+        }
+    }
+}
+
 /// Dispatches one parsed request to its endpoint.
-fn route(request: &http::Request, shared: &Shared) -> (u16, Vec<u8>, Option<u64>) {
+fn route(request: &http::Request, shared: &Shared) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/solve") => match solve_endpoint(&request.body, shared) {
             Ok(body) => (200, body, None),
             Err(err) => {
-                let retry = (err.status == 429 || err.status == 503)
-                    .then(|| (shared.config.batch_window.as_millis() as u64 / 1000).max(1));
+                let retry = (err.status == 429 || err.status == 503).then_some(1);
                 (err.status, render_error(&err), retry)
             }
         },
@@ -437,4 +452,23 @@ fn healthz_endpoint(shared: &Shared) -> Vec<u8> {
         shared.connections.load(Ordering::Acquire) as u64,
     );
     doc.finish().into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use defender_obs::json::{self, JsonValue};
+
+    #[test]
+    fn a_panicking_handler_answers_a_typed_500_and_closes() {
+        let (((status, body, retry_after), completed), deltas) =
+            obs::captured(|| catch_panic(|| panic!("handler bug")));
+        assert_eq!(status, 500);
+        assert_eq!(retry_after, None);
+        assert!(!completed, "the connection must close");
+        let doc = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let kind = doc.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(JsonValue::as_str), Some("Internal"));
+        assert_eq!(deltas, vec![("srv.panics".to_owned(), 1)]);
+    }
 }

@@ -1,27 +1,16 @@
-//! Request coalescing: M concurrent requests for one class cost one solve.
+//! Request coalescing over HTTP: M concurrent requests for one class
+//! cost one solve.
 //!
-//! Both tests count `cache.misses`, which ticks on the solver's batcher
-//! thread and its worker pool. No caller's counting scope covers those
-//! threads, so the tests read process-global counters. They therefore
-//! get this test binary to themselves and take turns.
+//! The test counts `cache.misses`, which ticks on the threads the
+//! server solves on. No caller's counting scope covers those threads,
+//! so it reads the process-global counter and gets this test binary to
+//! itself.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use defender_cache::EquilibriumCache;
-use defender_core::model::TupleGame;
-use defender_graph::generators;
 use defender_obs::json::{self, JsonValue};
-use defender_serve::api::CacheStatus;
 use defender_serve::client::Client;
-use defender_serve::solver::{Solver, SolverConfig};
 use defender_serve::{ServeConfig, Server};
-
-/// Serializes the tests: each diffs the global `cache.misses` cell.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn cache_misses() -> u64 {
     defender_obs::snapshot()
@@ -30,66 +19,19 @@ fn cache_misses() -> u64 {
 }
 
 #[test]
-fn coalesces_concurrent_identical_classes_into_one_solve() {
-    let _serial = serial();
-    defender_obs::enable();
-    let cache = Arc::new(EquilibriumCache::in_memory());
-    let solver = Solver::start(
-        Arc::clone(&cache),
-        SolverConfig {
-            batch_window: Duration::from_millis(30),
-            ..SolverConfig::default()
-        },
-    );
-
-    let before = cache_misses();
-    const M: usize = 8;
-    let statuses: Vec<CacheStatus> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..M)
-            .map(|_| {
-                let solver = &solver;
-                scope.spawn(move || {
-                    let graph = generators::petersen();
-                    let game = TupleGame::new(&graph, 1, 1).unwrap();
-                    solver.solve(&game).unwrap().status
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // One solve for all M requests: exactly one cache miss...
-    assert_eq!(
-        cache_misses(),
-        before + 1,
-        "M concurrent identical-class requests must coalesce to one solve"
-    );
-    // ...and every request either led the miss or coalesced onto it
-    // (a racer arriving after the solve resolves probes a hit).
-    let misses = statuses.iter().filter(|s| **s == CacheStatus::Miss).count();
-    assert_eq!(misses, 1, "statuses: {statuses:?}");
-    assert_eq!(cache.len(), 1);
-    assert_eq!(solver.served_classes(), 1);
-    solver.shutdown();
-}
-
-#[test]
 fn concurrent_identical_requests_coalesce_to_one_cache_miss() {
-    let _serial = serial();
     defender_obs::enable();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
-        // A generous window so every racer lands while the class is
-        // still in flight.
-        batch_window: Duration::from_millis(100),
         ..ServeConfig::default()
     })
     .expect("bind loopback");
     let before = cache_misses();
 
     const M: usize = 8;
-    // Petersen: heavy enough that the solve outlasts request fan-in.
-    let g6 = defender_graph::graph6::to_graph6(&generators::petersen());
+    // A racer that arrives after the solve settled probes a hit; every
+    // other one leads the class or joins it.
+    let g6 = defender_graph::graph6::to_graph6(&defender_graph::generators::petersen());
     let body = format!(r#"{{"graph6": "{g6}", "k": 1, "nu": 1}}"#);
     let statuses: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..M)

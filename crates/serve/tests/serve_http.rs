@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use defender_obs::json::{self, JsonValue};
 use defender_serve::client::Client;
+use defender_serve::solver::NU_LIMIT;
 use defender_serve::{ServeConfig, Server};
 
 fn c5_body() -> String {
@@ -97,6 +98,7 @@ fn solves_over_the_wire_and_reports_cache_status() {
 fn typed_errors_cross_the_wire() {
     let server = test_server(ServeConfig::default());
     let mut client = connect(&server);
+    let over_cap = format!(r#"{{"graph6": "DQo", "k": 1, "nu": {}}}"#, NU_LIMIT + 1);
     for (body, status, kind) in [
         (
             r#"{"graph6": "DQoA", "k": 1, "nu": 1}"#,
@@ -113,6 +115,8 @@ fn typed_errors_cross_the_wire() {
         ("{", 400, "BadJson"),
         (r#"{"graph6": "~@MG", "k": 1, "nu": 1}"#, 422, "TooLarge"),
         (r#"{"graph6": "DQo", "k": 99, "nu": 1}"#, 422, "BadGame"),
+        (r#"{"graph6": "DQo", "k": 1, "nu": 0}"#, 422, "BadGame"),
+        (over_cap.as_str(), 422, "BadGame"),
     ] {
         let response = client.solve(body).expect("request");
         assert_eq!(response.status, status, "{body}");
@@ -120,6 +124,10 @@ fn typed_errors_cross_the_wire() {
         let err = doc.get("error").expect("error object");
         assert_eq!(str_of(err, "kind"), kind, "{body}");
     }
+    // None of those rejects costs the server its solving.
+    let response = client.solve(&c5_body()).expect("solve after rejects");
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert_eq!(str_of(&parse(&response.body), "cache"), "miss");
 
     // Routing errors.
     let response = client.request("GET", "/nope", b"").expect("404");

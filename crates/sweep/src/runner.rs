@@ -148,7 +148,13 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
             let Some(shard) = pending.next() else {
                 break;
             };
-            workers.push(spawn_shard(config, shard)?);
+            match spawn_shard(config, shard) {
+                Ok(worker) => workers.push(worker),
+                Err(e) => {
+                    stop_all(&mut workers);
+                    return Err(e);
+                }
+            }
         }
         if workers.is_empty() {
             break;
@@ -181,11 +187,7 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
         if stopped_early {
             // Deterministic-interruption mode: abandon live workers so the
             // resume path re-runs them from scratch.
-            for worker in &mut workers {
-                let _ = worker.child.kill();
-                let _ = worker.child.wait();
-            }
-            workers.clear();
+            stop_all(&mut workers);
         } else if workers.len() == live {
             std::thread::sleep(POLL);
         }
@@ -210,6 +212,15 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepOutcome, String> {
         resumed,
         stopped_early: false,
     })
+}
+
+/// Kills and reaps every live worker, so none outlives the run.
+fn stop_all(workers: &mut Vec<Worker>) {
+    for worker in workers.iter_mut() {
+        let _ = worker.child.kill();
+        let _ = worker.child.wait();
+    }
+    workers.clear();
 }
 
 /// The directory owned by one shard.
