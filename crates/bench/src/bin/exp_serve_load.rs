@@ -24,6 +24,7 @@
 //!   keeps serving 200 hits.
 //! - `--requests 0 --shutdown` — just stop a running server.
 
+use std::io::{ErrorKind, Write};
 use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -58,6 +59,16 @@ fn main() {
     if let Err(message) = run(&options) {
         eprintln!("error: {message}");
         std::process::exit(1);
+    }
+}
+
+/// Writes one summary line to stdout. A closed stdout (`… | head -1`)
+/// ends the summary, not the run: the exit code stays the run's verdict.
+fn say(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("warning: cannot write to stdout: {e}");
+        }
     }
 }
 
@@ -167,7 +178,10 @@ fn run(options: &Options) -> Result<(), String> {
             }
         });
         match (&outcome, stopped) {
-            (_, Ok(())) => println!("serve-load: server at {} shutting down", options.addr),
+            (_, Ok(())) => say(format_args!(
+                "serve-load: server at {} shutting down",
+                options.addr
+            )),
             (Ok(()), Err(e)) => return Err(e),
             (Err(_), Err(e)) => eprintln!("warning: {e}"),
         }
@@ -382,7 +396,7 @@ fn run_load(options: &Options) -> Result<(), String> {
     let hits = samples.iter().filter(|s| s.cache == "hit").count();
     let misses = samples.iter().filter(|s| s.cache == "miss").count();
     let coalesced = samples.iter().filter(|s| s.cache == "coalesced").count();
-    println!(
+    say(format_args!(
         "serve-load: {} requests over {} clients in {:?} — {} hit, {} miss, {} coalesced, {} classes",
         samples.len(),
         options.clients,
@@ -391,7 +405,7 @@ fn run_load(options: &Options) -> Result<(), String> {
         misses,
         coalesced,
         distinct
-    );
+    ));
     Ok(())
 }
 
@@ -501,7 +515,7 @@ fn write_sidecar(metrics: &JsonValue, distinct: usize, elapsed: Duration) -> Res
     let path = report
         .write_sidecar()
         .map_err(|e| format!("cannot write sidecar: {e}"))?;
-    println!("wrote {}", path.display());
+    say(format_args!("wrote {}", path.display()));
     Ok(())
 }
 
@@ -609,9 +623,9 @@ fn run_overload(options: &Options) -> Result<(), String> {
             cache_field(&after)
         ));
     }
-    println!(
+    say(format_args!(
         "serve-load: overload probe shed {shed} of {} flood requests with 429 + Retry-After; warm class stayed a 200 hit",
         options.clients * per_client
-    );
+    ));
     Ok(())
 }

@@ -68,6 +68,23 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): exactness, panic, panic2, cast.
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -594,6 +611,11 @@ fn parse_sidecar(text: &str) -> Result<BTreeMap<CacheKey, CacheEntry>, String> {
     Ok(store)
 }
 
+/// Converts a sidecar integer to an index, refusing one that does not fit.
+fn to_index(v: u64) -> Result<usize, String> {
+    usize::try_from(v).map_err(|_| format!("integer {v} does not fit an index"))
+}
+
 fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
     let str_field = |name: &str| {
         item.get(name)
@@ -603,8 +625,8 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
     let usize_field = |name: &str| {
         item.get(name)
             .and_then(JsonValue::as_u64)
-            .map(|v| v as usize)
             .ok_or(format!("missing integer field {name:?}"))
+            .and_then(to_index)
     };
     let ratio =
         |s: &str| -> Result<Ratio, String> { s.parse::<Ratio>().map_err(|e| e.to_string()) };
@@ -620,10 +642,11 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing attacker array")?
     {
-        let v = a
-            .get("vertex")
-            .and_then(JsonValue::as_u64)
-            .ok_or("attacker item missing vertex")? as usize;
+        let v = to_index(
+            a.get("vertex")
+                .and_then(JsonValue::as_u64)
+                .ok_or("attacker item missing vertex")?,
+        )?;
         let p = ratio(
             a.get("p")
                 .and_then(JsonValue::as_str)
@@ -645,13 +668,12 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
             .ok_or("defender item missing edges")?
         {
             let ends = pair.as_array().ok_or("edge is not a pair")?;
-            // lint: allow(index) let-else slice pattern; a mismatch takes the else branch
             let [u, v] = ends else {
                 return Err("edge is not a pair".to_owned());
             };
             edges.push((
-                u.as_u64().ok_or("edge endpoint is not an integer")? as usize,
-                v.as_u64().ok_or("edge endpoint is not an integer")? as usize,
+                to_index(u.as_u64().ok_or("edge endpoint is not an integer")?)?,
+                to_index(v.as_u64().ok_or("edge endpoint is not an integer")?)?,
             ));
         }
         let p = ratio(

@@ -7,7 +7,6 @@ pub fn run(argv: &[String]) {
         Some("sweep") => print_sweep(),
         Some("cache") => print_cache(),
         Some("serve") => print_serve(),
-        Some("lint") => print_lint(),
         _ => print(),
     }
 }
@@ -27,9 +26,8 @@ USAGE:
   defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]
   defender profile <trace.json> [--format table|json] [--top N] [--sidecar]
   defender sweep <experiment> --shards <N> [--resume <dir>] [options]   (see `defender help sweep`)
-  defender lint [--root <dir>] [--format text|json] [--sidecar] [--dump-registry]
   defender serve --addr <HOST:PORT> [--cache <DIR>] [options]          (see `defender help serve`)
-  defender help [sweep|cache|serve|lint]
+  defender help [sweep|cache|serve]
 
 `generate`, `analyze`, `simulate`, `value` and `convert` also accept
 (every command rejects an option it does not read):
@@ -67,12 +65,6 @@ the full story.
 `value --cache <DIR>` (and `exp <experiment> --cache <DIR>`)
 memoizes exact equilibria keyed by the graph's canonical form, so
 isomorphic repeats are free — `defender help cache` has the full story.
-
-`lint` runs the workspace static-analysis pass (exactness, determinism,
-panic-freedom, exact-path panic/cast gating, the Cargo.lock and
-manifest-lints deps check, suppression ageing, metric-registry audit;
-scopes built in) and exits with code 2 on findings —
-`defender help lint` has the full story.
 
 `serve` answers equilibrium queries over HTTP, cache-first: isomorphic
 repeats are served from the memo without touching the LP, a miss is
@@ -214,68 +206,6 @@ HOW IT WORKS:
 EXAMPLES:
   defender serve --addr 127.0.0.1:8080 --cache ./memo
   exp_serve_load --addr 127.0.0.1:8080 --expect cold --shutdown"
-    );
-}
-
-/// Prints the `defender help lint` topic page.
-fn print_lint() {
-    println!(
-        "defender lint — the workspace static-analysis pass
-
-USAGE:
-  defender lint [--root <dir>] [--format text|json] [--sidecar]
-                [--dump-registry]
-
-  Exit codes: 0 clean, 2 findings, 1 usage/I-O error. `--root` defaults
-  to the nearest ancestor holding crates/obs/metrics_registry.txt.
-  `--format json` emits the machine-readable report (top-level field
-  order is a pinned contract), `--sidecar` writes BENCH_lint.json
-  (finding counts per rule, files scanned and the annotation count,
-  bench-diffable), `--dump-registry` regenerates the static part of
-  crates/obs/metrics_registry.txt from source.
-
-RULE FAMILIES (scopes are constants in crates/lint/src; DESIGN.md §12
-and §17):
-  exactness     no f64/f32 idents or float literals in the equilibrium
-                crates — the paper's guarantees are exact-rational
-  determinism   no wall-clock or randomized-hash constructs (Instant,
-                HashMap, ...) outside annotated sites
-  panic         every unwrap/expect/panic! in library code removed or
-                annotated with the invariant that makes it unreachable
-  panic2        item-aware: bare indexing, split_at, slice patterns and
-                non-literal / or % are findings *inside exact-path fns*
-                (those that transitively touch Ratio, by an approximate
-                per-crate call graph) — allow(index) / allow(arith)
-  cast          narrowing `as` casts: u8..i32 targets anywhere in scope,
-                u64/i64 only in exact-path fns; provably-fitting integer
-                literals are exempt — allow(cast)
-  deps          a `source =` line in Cargo.lock (a registry or git
-                package) or a member manifest without
-                `[lints] workspace = true` is a finding; that inherited
-                table has rustc forbid `unsafe` in every target
-  metrics       counter!/gauge!/histogram!/span! literals cross-checked
-                against the registry, EXPERIMENTS.md and the committed
-                baselines
-  unused_allow  suppression ageing: an allow that suppressed nothing is
-                itself a finding — stale annotations cannot linger
-
-ANNOTATION GRAMMAR:
-  // lint: allow(<rule>) <reason>    trailing: covers its own line
-                                     standalone: covers the next line
-  The reason is mandatory (a bare allow is an `annotation` finding);
-  test code is exempt from every rule, so annotations there are inert.
-
-CI:
-  ci.sh runs `defender lint --sidecar` as a hard gate and bench-diffs
-  the sidecar's counters against baselines/BENCH_lint.json, so a
-  silent change in what the linter sees is a reviewed event; the
-  workspace-clean state is also pinned as a regular cargo test.
-
-EXAMPLES:
-  defender lint
-  defender lint --format json | head -1
-  defender lint --sidecar && defender bench diff \\
-      baselines/BENCH_lint.json BENCH_lint.json"
     );
 }
 

@@ -5,7 +5,6 @@ pub mod bench;
 pub mod convert;
 pub mod generate;
 pub mod help;
-pub mod lint;
 pub mod profile;
 pub mod serve;
 pub mod simulate;

@@ -42,7 +42,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         commands::help::print();
         return Ok(ExitCode::SUCCESS);
     };
-    // `bench`, `lint`, `profile` and `sweep` manage their own argument
+    // `bench`, `profile` and `sweep` manage their own argument
     // grammars (positional files, value-less flags), which
     // `Options::parse` rejects by design; dispatch them before the
     // uniform option pass. `serve` blocks until shut down over HTTP, so
@@ -50,9 +50,6 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     // optional positional topic.
     if command == "bench" {
         return commands::bench::run(rest);
-    }
-    if command == "lint" {
-        return commands::lint::run(rest);
     }
     if command == "profile" {
         return commands::profile::run(rest);

@@ -23,14 +23,20 @@ use crate::CoreError;
 #[must_use]
 pub fn attacker_best_response(game: &TupleGame<'_>, config: &MixedConfig) -> (VertexId, Ratio) {
     let hit = payoff::hit_probabilities(game, config);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hit is sized by vertex_count; VertexId::index is in range"
+    )]
+    #[expect(clippy::expect_used, reason = "game graphs are validated non-empty")]
     let v = game
         .graph()
         .vertices()
-        // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
         .min_by_key(|v| hit[v.index()])
-        // lint: allow(panic) game graphs are validated non-empty
         .expect("game graphs are non-empty");
-    // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hit is sized by vertex_count; VertexId::index is in range"
+    )]
     (v, Ratio::ONE - hit[v.index()])
 }
 
@@ -46,6 +52,10 @@ pub fn defender_best_response_exact(
     limit: usize,
 ) -> Result<(Tuple, Ratio), CoreError> {
     let tuples = all_tuples(game.graph(), game.k(), limit)?;
+    #[expect(
+        clippy::expect_used,
+        reason = "k <= m guarantees at least one candidate tuple"
+    )]
     let best = tuples
         .into_iter()
         .map(|t| {
@@ -53,7 +63,6 @@ pub fn defender_best_response_exact(
             (t, value)
         })
         .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-        // lint: allow(panic) k <= m guarantees at least one candidate tuple
         .expect("k ≤ m guarantees at least one tuple");
     Ok(best)
 }
@@ -68,43 +77,52 @@ pub fn defender_best_response_greedy(game: &TupleGame<'_>, mass: &[Ratio]) -> (T
     let mut chosen: Vec<EdgeId> = Vec::with_capacity(game.k());
     let mut picked = vec![false; graph.edge_count()];
     let mut total = Ratio::ZERO;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "picked is sized by edge_count; EdgeId::index is in range; \
+                  covered is sized by vertex_count; VertexId::index is in range"
+    )]
     for _ in 0..game.k() {
         let mut best: Option<(EdgeId, Ratio)> = None;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "picked is sized by edge_count; EdgeId::index is in range; \
+                      covered is sized by vertex_count; VertexId::index is in range; \
+                      mass is sized by vertex_count; VertexId::index is in range"
+        )]
         for e in graph.edges() {
-            // lint: allow(index) picked is sized by edge_count; EdgeId::index is in range
             if picked[e.index()] {
                 continue;
             }
             let ep = graph.endpoints(e);
             let mut marginal = Ratio::ZERO;
-            // lint: allow(index) covered is sized by vertex_count; VertexId::index is in range
             if !covered[ep.u().index()] {
-                // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
                 marginal += mass[ep.u().index()];
             }
-            // lint: allow(index) covered is sized by vertex_count; VertexId::index is in range
             if !covered[ep.v().index()] {
-                // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
                 marginal += mass[ep.v().index()];
             }
             if best.as_ref().map_or(true, |(_, b)| marginal > *b) {
                 best = Some((e, marginal));
             }
         }
-        // lint: allow(panic) k <= m leaves an unpicked edge each greedy round
+        #[expect(
+            clippy::expect_used,
+            reason = "k <= m leaves an unpicked edge each greedy round"
+        )]
         let (e, marginal) = best.expect("k ≤ m leaves an unpicked edge");
-        // lint: allow(index) picked is sized by edge_count; EdgeId::index is in range
         picked[e.index()] = true;
         let ep = graph.endpoints(e);
-        // lint: allow(index) covered is sized by vertex_count; VertexId::index is in range
         covered[ep.u().index()] = true;
-        // lint: allow(index) covered is sized by vertex_count; VertexId::index is in range
         covered[ep.v().index()] = true;
         chosen.push(e);
         total += marginal;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "greedy picks k distinct edges by construction"
+    )]
     (
-        // lint: allow(panic) greedy picks k distinct edges by construction
         Tuple::new(chosen).expect("greedy picks distinct edges"),
         total,
     )
@@ -180,6 +198,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for trial in 0..25 {
             let g = generators::gnp_connected(9, 0.3, &mut rng);
+            #[expect(
+                clippy::integer_division_remainder_used,
+                reason = "constant divisor: cycles the tested width through 1..=3"
+            )]
             let k = 1 + trial % 3;
             if k > g.edge_count() {
                 continue;
@@ -188,7 +210,7 @@ mod tests {
             // Random attacker mass.
             let mass: Vec<Ratio> = g
                 .vertices()
-                .map(|_| Ratio::new(rng.gen_range(0..5) as i64, 1))
+                .map(|_| Ratio::from(rng.gen_range(0..5)))
                 .collect();
             let (_, exact) = defender_best_response_exact(&game, &mass, 100_000).unwrap();
             let (_, greedy) = defender_best_response_greedy(&game, &mass);

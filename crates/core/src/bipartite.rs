@@ -72,7 +72,7 @@ mod tests {
             let ne = a_tuple_bipartite(&game).unwrap();
             // Minimum VC of K_{a,b} is the smaller side; IS the larger.
             let is_size = a.max(b);
-            assert_eq!(ne.defender_gain(), Ratio::new(nu as i64, is_size as i64));
+            assert_eq!(ne.defender_gain(), Ratio::from(nu) / Ratio::from(is_size));
             let report = verify_mixed_ne(&game, ne.config(), VerificationMode::Auto).unwrap();
             assert!(
                 report.is_equilibrium(),

@@ -155,10 +155,14 @@ pub fn verify_mixed_ne(
 
     // Condition 2(a).
     let hit = payoff::hit_probabilities(game, config);
-    // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hit is sized by vertex_count; VertexId::index is in range"
+    )]
     let support_hits: Vec<Ratio> = vp_support.iter().map(|v| hit[v.index()]).collect();
-    // lint: allow(index) windows(2) yields exactly two elements
-    let hit_uniform_on_vp_support = support_hits.windows(2).all(|w| w[0] == w[1]);
+    let hit_uniform_on_vp_support = support_hits
+        .windows(2)
+        .all(|w| matches!(w, [a, b] if a == b));
     let support_hit = support_hits.first().copied();
     let global_min_hit = hit.iter().copied().min().unwrap_or(Ratio::ZERO);
     let hit_minimal_on_vp_support =
@@ -171,8 +175,9 @@ pub fn verify_mixed_ne(
         .iter()
         .map(|t| payoff::tuple_mass_with(&mass, game, t))
         .collect();
-    // lint: allow(index) windows(2) yields exactly two elements
-    let mass_uniform_on_tp_support = support_masses.windows(2).all(|w| w[0] == w[1]);
+    let mass_uniform_on_tp_support = support_masses
+        .windows(2)
+        .all(|w| matches!(w, [a, b] if a == b));
     let support_mass = support_masses.first().copied();
 
     // Condition 3(a), optimality half: max_{t ∈ E^k} m_s(t).
@@ -182,7 +187,10 @@ pub fn verify_mixed_ne(
 
     // Condition 3(b): Σ_{v ∈ V(D(tp))} m(v) = ν.
     let covered = graph.endpoint_set(&support_edges);
-    // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mass is sized by vertex_count; VertexId::index is in range"
+    )]
     let covered_mass: Ratio = covered.iter().map(|v| mass[v.index()]).sum();
     let mass_conserved = covered_mass == Ratio::from(game.attacker_count());
 
@@ -199,7 +207,6 @@ pub fn verify_mixed_ne(
         mode_used,
     };
     defender_obs::counter!("core.characterization.conditions_failed")
-        // lint: allow(cast) failure count fits u64; usize to u64 is lossless on 64-bit
         .add(report.failures().len() as u64);
     Ok(report)
 }
@@ -253,18 +260,28 @@ fn maximum_tuple_mass(
 ///   a covered one at maximality).
 fn analytic_max(game: &TupleGame<'_>, mass: &[Ratio]) -> Result<Ratio, CoreError> {
     let graph = game.graph();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mass is sized by vertex_count; VertexId::index is in range"
+    )]
     let positive: Vec<defender_graph::VertexId> = graph
         .vertices()
-        // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
         .filter(|v| mass[v.index()] > Ratio::ZERO)
         .collect();
     if positive.is_empty() {
         return Ok(Ratio::ZERO);
     }
-    // lint: allow(index) positive is nonempty: checked by the early return above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "positive is nonempty: checked by the early return above"
+    )]
     let c = mass[positive[0].index()];
-    // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
-    if positive.iter().any(|v| mass[v.index()] != c) {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mass is sized by vertex_count; VertexId::index is in range"
+    )]
+    let uniform = positive.iter().all(|v| mass[v.index()] == c);
+    if !uniform {
         return Err(CoreError::ConfigMismatch {
             reason: "analytic mode needs uniform mass on the positive support".into(),
         });

@@ -100,12 +100,18 @@ pub fn covering_ne(game: &TupleGame<'_>) -> Result<CoveringNe, CoreError> {
             support_size: edges.len(),
         });
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cyclic windows index 0..edges.len() by construction"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "cyclic windows over a matching are distinct edges"
+    )]
     let tuples: Vec<Tuple> = cyclic_tuples(edges.len(), k)
         .into_iter()
         .map(|window| {
-            // lint: allow(index) cyclic windows index 0..edges.len() by construction
             Tuple::new(window.into_iter().map(|i| edges[i]).collect())
-                // lint: allow(panic) cyclic windows over a matching are distinct edges
                 .expect("cyclic windows over a matching have distinct edges")
         })
         .collect();
@@ -118,10 +124,10 @@ pub fn covering_ne(game: &TupleGame<'_>) -> Result<CoveringNe, CoreError> {
 
     let n = graph.vertex_count();
     let defender_gain = payoff::expected_ip_tuple_player(game, &config);
-    // lint: allow(arith) n = vertex_count >= 1: the matching above is nonempty
+    // divisor nonzero: n = vertex_count >= 1: the matching above is nonempty
     let expected = Ratio::from(2 * k) * Ratio::from(game.attacker_count()) / Ratio::from(n);
     debug_assert_eq!(defender_gain, expected, "covering gain closed form");
-    // lint: allow(arith) n = vertex_count >= 1: the matching above is nonempty
+    // divisor nonzero: n = vertex_count >= 1: the matching above is nonempty
     let hit_probability = Ratio::from(2 * k) / Ratio::from(n);
 
     Ok(CoveringNe {
@@ -151,6 +157,10 @@ mod tests {
             ("K_{3,3}", generators::complete_bipartite(3, 3)),
             ("ladder L4", generators::ladder(4)),
         ] {
+            #[expect(
+                clippy::integer_division_remainder_used,
+                reason = "constant divisor: k ranges up to half the vertex count"
+            )]
             let half = graph.vertex_count() / 2;
             for k in 1..=half.min(3) {
                 let game = TupleGame::new(&graph, k, 5).unwrap();

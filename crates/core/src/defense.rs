@@ -36,7 +36,7 @@ pub fn defense_ratio(game: &TupleGame<'_>, config: &MixedConfig) -> Option<Ratio
     if gain.is_zero() {
         return None;
     }
-    // lint: allow(arith) gain.is_zero() returned None above
+    // divisor nonzero: gain.is_zero() returned None above
     Some(Ratio::from(game.attacker_count()) / gain)
 }
 
@@ -44,7 +44,7 @@ pub fn defense_ratio(game: &TupleGame<'_>, config: &MixedConfig) -> Option<Ratio
 /// Nash equilibrium of `Π_k(G)` (see the module docs for the proof).
 #[must_use]
 pub fn defense_ratio_lower_bound(game: &TupleGame<'_>) -> Ratio {
-    // lint: allow(arith) k >= 1 for a constructed TupleGame
+    // divisor nonzero: k >= 1 for a constructed TupleGame
     Ratio::from(game.graph().vertex_count()) / Ratio::from(2 * game.k())
 }
 

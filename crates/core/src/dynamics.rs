@@ -9,6 +9,12 @@
 //! convergence; the exact defender oracle keeps Robinson's hypotheses
 //! intact (the greedy oracle gives a faster, approximate variant).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "Empirical catch-rate reporting, not NE computation."
+)]
+
 use defender_num::Ratio;
 
 use crate::best_response::{defender_best_response_exact, defender_best_response_greedy};
@@ -79,18 +85,28 @@ pub fn fictitious_play(
     let mut next_checkpoint = 1usize;
     let mut attacker_frequency = vec![0usize; n];
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "count vectors are sized by vertex_count; index in range"
+    )]
     for round in 1..=rounds {
         // Attacker: historically least-covered vertex (ties: lowest id).
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "coverage_counts is sized by vertex_count; index in range"
+        )]
+        #[expect(clippy::expect_used, reason = "game graphs are validated non-empty")]
         let attacker_vertex = graph
             .vertices()
-            // lint: allow(index) coverage_counts is sized by vertex_count; index in range
             .min_by_key(|v| coverage_counts[v.index()])
-            // lint: allow(panic) game graphs are validated non-empty
             .expect("non-empty graph");
         // Defender: best response to the attacker's empirical mass.
+        #[expect(
+            clippy::expect_used,
+            reason = "round counts are bounded far below i64::MAX"
+        )]
         let mass: Vec<Ratio> = vertex_counts
             .iter()
-            // lint: allow(panic) round counts are bounded far below i64::MAX
             .map(|&c| Ratio::from(i64::try_from(c).expect("counts fit i64")))
             .collect();
         let tuple: Tuple = match mode {
@@ -117,27 +133,21 @@ pub fn fictitious_play(
         // Score and record the round.
         let caught = tuple.covers(graph, attacker_vertex);
         caught_total += u64::from(caught);
-        // lint: allow(index) count vectors are sized by vertex_count; index in range
         vertex_counts[attacker_vertex.index()] += 1;
-        // lint: allow(index) count vectors are sized by vertex_count; index in range
         attacker_frequency[attacker_vertex.index()] += 1;
         for v in tuple.vertices(graph) {
-            // lint: allow(index) count vectors are sized by vertex_count; index in range
             coverage_counts[v.index()] += 1;
         }
         if round == next_checkpoint || round == rounds {
-            // lint: allow(arith) f64 division cannot panic; round >= 1 inside the loop
             checkpoints.push((round, caught_total as f64 / round as f64));
             next_checkpoint *= 2;
         }
     }
 
-    // lint: allow(cast) round count fits u64; usize to u64 is lossless on 64-bit
     defender_obs::counter!("core.dynamics.rounds").add(rounds as u64);
     defender_obs::counter!("core.dynamics.catches").add(caught_total);
     Ok(PlayTrace {
         rounds,
-        // lint: allow(arith) f64 division cannot panic
         average_payoff: caught_total as f64 / rounds as f64,
         checkpoints,
         attacker_frequency,

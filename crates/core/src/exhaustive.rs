@@ -57,15 +57,22 @@ impl<'a, 'g> GameAdapter<'a, 'g> {
     /// Lifts a [`MixedConfig`] into per-player [`Move`] distributions.
     #[must_use]
     pub fn lift(&self, config: &MixedConfig) -> Vec<MixedStrategy<Move>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "re-keying a valid distribution preserves validity"
+        )]
         let mut profile: Vec<MixedStrategy<Move>> = config
             .attackers()
             .iter()
             .map(|s| {
                 MixedStrategy::from_entries(s.iter().map(|(v, p)| (Move::Vertex(*v), p)).collect())
-                    // lint: allow(panic) re-keying a valid distribution preserves validity
                     .expect("valid distribution lifts to a valid distribution")
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "re-keying a valid distribution preserves validity"
+        )]
         profile.push(
             MixedStrategy::from_entries(
                 config
@@ -74,7 +81,6 @@ impl<'a, 'g> GameAdapter<'a, 'g> {
                     .map(|(t, p)| (Move::Tuple(t.clone()), p))
                     .collect(),
             )
-            // lint: allow(panic) re-keying a valid distribution preserves validity
             .expect("valid distribution lifts to a valid distribution"),
         );
         profile
@@ -117,10 +123,12 @@ impl<'a, 'g> GameAdapter<'a, 'g> {
         let rows: Vec<(Vec<Ratio>, Vec<Ratio>)> = defender_par::par_map(&self.tuples, |t| {
             let mut drow = vec![Ratio::ZERO; n];
             let mut arow = vec![Ratio::ONE; n];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rows are sized by vertex_count; VertexId::index is in range"
+            )]
             for v in t.vertices(graph) {
-                // lint: allow(index) rows are sized by vertex_count; VertexId::index is in range
                 drow[v.index()] = Ratio::ONE;
-                // lint: allow(index) rows are sized by vertex_count; VertexId::index is in range
                 arow[v.index()] = Ratio::ZERO;
             }
             (drow, arow)
@@ -149,16 +157,28 @@ impl StrategicGame for GameAdapter<'_, '_> {
     }
 
     fn payoff(&self, player: usize, profile: &[Move]) -> Ratio {
-        // lint: allow(index) Game contract: profile has attacker_count + 1 slots
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Game contract: profile has attacker_count + 1 slots"
+        )]
+        #[expect(
+            clippy::panic,
+            reason = "profile layout invariant: the last slot holds the defender tuple"
+        )]
         let Move::Tuple(tuple) = &profile[self.game.attacker_count()] else {
-            // lint: allow(panic) profile layout invariant: the last slot holds the defender tuple
             panic!("defender slot must hold a tuple");
         };
         let graph = self.game.graph();
         if player < self.game.attacker_count() {
-            // lint: allow(index) player < attacker_count on this branch
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "player < attacker_count on this branch"
+            )]
+            #[expect(
+                clippy::panic,
+                reason = "profile layout invariant: attacker slots hold vertices"
+            )]
             let Move::Vertex(v) = profile[player] else {
-                // lint: allow(panic) profile layout invariant: attacker slots hold vertices
                 panic!("attacker slot must hold a vertex");
             };
             if tuple.covers(graph, v) {
@@ -167,12 +187,19 @@ impl StrategicGame for GameAdapter<'_, '_> {
                 Ratio::ONE
             }
         } else {
-            // lint: allow(index) profile has attacker_count + 1 slots; prefix in range
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "profile has attacker_count + 1 slots; prefix in range"
+            )]
             let caught = profile[..self.game.attacker_count()]
                 .iter()
                 .filter(|m| {
-                    let Move::Vertex(v) = m else {
-                        // lint: allow(panic) profile layout invariant: attacker slots hold vertices
+                    #[expect(
+                        clippy::panic,
+                        reason = "profile layout invariant: attacker slots hold vertices"
+                    )]
+                    let Move::Vertex(v) = m
+                    else {
                         panic!("attacker slot must hold a vertex");
                     };
                     tuple.covers(graph, *v)

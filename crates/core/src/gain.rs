@@ -22,7 +22,7 @@ pub fn quality_of_protection(game: &TupleGame<'_>, config: &MixedConfig) -> Rati
     if game.attacker_count() == 0 {
         return Ratio::ZERO;
     }
-    // lint: allow(arith) attacker_count >= 1: zero case returned early above
+    // divisor nonzero: attacker_count >= 1: zero case returned early above
     defender_gain(game, config) / Ratio::from(game.attacker_count())
 }
 
@@ -30,7 +30,7 @@ pub fn quality_of_protection(game: &TupleGame<'_>, config: &MixedConfig) -> Rati
 /// Exposed so experiments can compare measured against predicted.
 #[must_use]
 pub fn predicted_k_matching_gain(k: usize, attackers: usize, is_size: usize) -> Ratio {
-    // lint: allow(arith) is_size >= 1 for any independent set realizing the bound
+    // divisor nonzero: is_size >= 1 for any independent set realizing the bound
     Ratio::from(k) * Ratio::from(attackers) / Ratio::from(is_size)
 }
 
@@ -55,7 +55,7 @@ mod tests {
             );
             assert_eq!(
                 quality_of_protection(&game, ne.config()),
-                Ratio::new(k as i64, 5)
+                Ratio::from(k) / Ratio::from(5)
             );
         }
     }

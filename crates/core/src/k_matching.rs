@@ -65,31 +65,37 @@ impl KMatchingConfig {
         // (2) unique incidence with E(D(tp)).
         let support_edges = self.support_edges();
         let mult = edge_cover::cover_multiplicity(graph, &support_edges);
-        // lint: allow(index) mult is sized by vertex_count; VertexId::index is in range
-        if let Some(v) = self.vp_support.iter().find(|v| mult[v.index()] != 1) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "mult is sized by vertex_count; VertexId::index is in range"
+        )]
+        let misfit = self
+            .vp_support
+            .iter()
+            .map(|v| (v, mult[v.index()]))
+            .find(|&(_, m)| m != 1);
+        if let Some((v, m)) = misfit {
             return Err(CoreError::NotKMatching {
-                reason: format!(
-                    "condition (2): {v} is incident to {} support edges, expected 1",
-                    // lint: allow(index) mult is sized by vertex_count; VertexId::index is in range
-                    mult[v.index()]
-                ),
+                reason: format!("condition (2): {v} is incident to {m} support edges, expected 1"),
             });
         }
         // (3) equal tuple-multiplicity per edge.
         let counts = self.edge_tuple_counts(graph);
+        #[expect(clippy::expect_used, reason = "non-empty support has a positive count")]
         let expected = counts
             .iter()
             .copied()
             .find(|&c| c > 0)
-            // lint: allow(panic) non-empty support has a positive count
             .expect("non-empty support has edges");
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "counts is sized by edge_count; EdgeId::index is in range"
+        )]
         for &e in &support_edges {
-            // lint: allow(index) counts is sized by edge_count; EdgeId::index is in range
             if counts[e.index()] != expected {
                 return Err(CoreError::NotKMatching {
                     reason: format!(
                         "condition (3): edge {e} appears in {} tuples, others in {expected}",
-                        // lint: allow(index) counts is sized by edge_count; EdgeId::index is in range
                         counts[e.index()]
                     ),
                 });
@@ -104,8 +110,11 @@ impl KMatchingConfig {
     pub fn edge_tuple_counts(&self, graph: &Graph) -> Vec<usize> {
         let mut counts = vec![0usize; graph.edge_count()];
         for t in &self.tuples {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "counts is sized by edge_count; EdgeId::index is in range"
+            )]
             for &e in t.edges() {
-                // lint: allow(index) counts is sized by edge_count; EdgeId::index is in range
                 counts[e.index()] += 1;
             }
         }
@@ -198,17 +207,20 @@ pub fn k_matching_ne_from_config(
 
     let defender_gain = payoff::expected_ip_tuple_player(game, &config);
     let expected_gain = Ratio::from(game.k()) * Ratio::from(game.attacker_count())
-        // lint: allow(arith) vp_support is nonempty for a validated k-matching NE
+        // divisor nonzero: vp_support is nonempty for a validated k-matching NE
         / Ratio::from(supports.vp_support.len());
     debug_assert_eq!(defender_gain, expected_gain, "Corollary 4.10");
 
     let support_edges = supports.support_edges();
-    // lint: allow(arith) a k-matching has k >= 1 support edges
+    // divisor nonzero: a k-matching has k >= 1 support edges
     let hit_probability = Ratio::from(game.k()) / Ratio::from(support_edges.len());
     if cfg!(debug_assertions) {
         let hits = payoff::hit_probabilities(game, &config);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hits is sized by vertex_count; VertexId::index is in range"
+        )]
         for v in &supports.vp_support {
-            // lint: allow(index) hits is sized by vertex_count; VertexId::index is in range
             debug_assert_eq!(hits[v.index()], hit_probability, "Claim 4.3 at {v}");
         }
     }

@@ -40,7 +40,9 @@ impl MatchingConfig {
             return false;
         }
         let mult = edge_cover::cover_multiplicity(graph, &self.tp_support);
-        self.vp_support.iter().all(|v| mult[v.index()] == 1)
+        self.vp_support
+            .iter()
+            .all(|v| mult.get(v.index()) == Some(&1))
     }
 
     /// Checks the additional conditions of Lemma 2.1: `tp_support` is an
@@ -189,21 +191,27 @@ pub fn algorithm_a(
     let mut support: Vec<EdgeId> = Vec::with_capacity(is.len());
     let mut matched_is = vec![false; graph.vertex_count()];
     for &u in vc {
-        // lint: allow(panic) Konig-style saturated matching covers every VC vertex
+        #[expect(
+            clippy::expect_used,
+            reason = "Konig-style saturated matching covers every VC vertex"
+        )]
         let partner = matching.partner(u).expect("saturated matching covers VC");
-        matched_is[partner.index()] = true;
+        if let Some(matched) = matched_is.get_mut(partner.index()) {
+            *matched = true;
+        }
+        #[expect(clippy::expect_used, reason = "matched pairs are edges of the graph")]
         support.push(
             graph
                 .find_edge(u, partner)
-                // lint: allow(panic) matched pairs are edges of the graph
                 .expect("matched pairs are edges"),
         );
     }
     for &v in is {
-        if !matched_is[v.index()] {
+        if matched_is.get(v.index()) == Some(&false) {
             // IS is independent, so every neighbor of v lies in VC.
-            let (_, e) = graph.incidence(v)[0];
-            support.push(e);
+            if let Some(&(_, e)) = graph.incidence(v).first() {
+                support.push(e);
+            }
         }
     }
     support.sort_unstable();
@@ -225,11 +233,13 @@ pub fn algorithm_a(
 /// Validates that `(is, vc)` partitions `V` with `is` independent.
 fn check_partition(graph: &Graph, is: &[VertexId], vc: &[VertexId]) -> Result<(), CoreError> {
     let mut seen = vec![0u8; graph.vertex_count()];
-    for &v in is {
-        seen[v.index()] += 1;
-    }
-    for &v in vc {
-        seen[v.index()] += 1;
+    for &v in is.iter().chain(vc) {
+        let Some(count) = seen.get_mut(v.index()) else {
+            return Err(CoreError::InvalidPartition {
+                reason: format!("{v} is not a vertex of G"),
+            });
+        };
+        *count = count.saturating_add(1);
     }
     if seen.iter().any(|&c| c != 1) {
         return Err(CoreError::InvalidPartition {

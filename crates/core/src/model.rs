@@ -152,6 +152,10 @@ impl PureConfig {
     /// Panics if `i ≥ ν` or the configuration does not fit `game`.
     #[must_use]
     pub fn ip_vertex_player(&self, game: &TupleGame<'_>, i: usize) -> u64 {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic contract: callers keep i below nu"
+        )]
         let v = self.attacker_choices[i];
         u64::from(!self.defender.covers(game.graph(), v))
     }
@@ -240,7 +244,10 @@ impl MixedConfig {
     /// Panics if `i ≥ ν`.
     #[must_use]
     pub fn attacker(&self, i: usize) -> &MixedStrategy<VertexId> {
-        // lint: allow(index) documented panic contract: callers keep i below nu
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic contract: callers keep i below nu"
+        )]
         &self.attacker_strategies[i]
     }
 

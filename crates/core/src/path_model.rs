@@ -43,22 +43,22 @@ impl PathStrategy {
             });
         }
         let mut seen = vec![false; graph.vertex_count()];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "seen is sized by vertex_count; VertexId::index is in range"
+        )]
         for &v in &vertices {
-            // lint: allow(index) seen is sized by vertex_count; VertexId::index is in range
             if seen[v.index()] {
                 return Err(CoreError::ConfigMismatch {
                     reason: format!("path repeats vertex {v}"),
                 });
             }
-            // lint: allow(index) seen is sized by vertex_count; VertexId::index is in range
             seen[v.index()] = true;
         }
-        for w in vertices.windows(2) {
-            // lint: allow(index) windows(2) yields exactly two elements
-            if !graph.has_edge(w[0], w[1]) {
+        for (&a, &b) in vertices.iter().zip(vertices.iter().skip(1)) {
+            if !graph.has_edge(a, b) {
                 return Err(CoreError::ConfigMismatch {
-                    // lint: allow(index) windows(2) yields exactly two elements
-                    reason: format!("({}, {}) is not an edge", w[0], w[1]),
+                    reason: format!("({a}, {b}) is not an edge"),
                 });
             }
         }
@@ -107,7 +107,10 @@ pub fn all_paths(graph: &Graph, k: usize, limit: usize) -> Result<Vec<PathStrate
         out: &mut std::collections::BTreeSet<PathStrategy>,
     ) -> Result<(), CoreError> {
         if stack.len() == k + 1 {
-            // lint: allow(panic) DFS extends along edges only, so the stack is a valid path
+            #[expect(
+                clippy::expect_used,
+                reason = "DFS extends along edges only, so the stack is a valid path"
+            )]
             let path = PathStrategy::new(graph, stack.clone()).expect("DFS builds valid paths");
             out.insert(path);
             if out.len() > limit {
@@ -118,31 +121,37 @@ pub fn all_paths(graph: &Graph, k: usize, limit: usize) -> Result<Vec<PathStrate
             }
             return Ok(());
         }
-        // lint: allow(panic) the stack starts with the source and never empties
+        #[expect(
+            clippy::expect_used,
+            reason = "the stack starts with the source and never empties"
+        )]
         let current = *stack.last().expect("stack starts non-empty");
         let neighbors: Vec<VertexId> = graph.neighbors(current).collect();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "on_path is sized by vertex_count; VertexId::index is in range"
+        )]
         for w in neighbors {
-            // lint: allow(index) on_path is sized by vertex_count; VertexId::index is in range
             if !on_path[w.index()] {
-                // lint: allow(index) on_path is sized by vertex_count; VertexId::index is in range
                 on_path[w.index()] = true;
                 stack.push(w);
                 dfs(graph, k, limit, stack, on_path, out)?;
                 stack.pop();
-                // lint: allow(index) on_path is sized by vertex_count; VertexId::index is in range
                 on_path[w.index()] = false;
             }
         }
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "on_path is sized by vertex_count; VertexId::index is in range"
+    )]
     for v in graph.vertices() {
-        // lint: allow(index) on_path is sized by vertex_count; VertexId::index is in range
         on_path[v.index()] = true;
         stack.push(v);
         dfs(graph, k, limit, &mut stack, &mut on_path, &mut out)?;
         stack.pop();
-        // lint: allow(index) on_path is sized by vertex_count; VertexId::index is in range
         on_path[v.index()] = false;
     }
     Ok(out.into_iter().collect())
@@ -154,6 +163,10 @@ pub fn all_paths(graph: &Graph, k: usize, limit: usize) -> Result<Vec<PathStrate
 ///
 /// Panics if the graph has more than 20 vertices.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the DP tables are 2^n x n: every mask is at most full < 2^n and every vertex index is below n"
+)]
 pub fn hamiltonian_path_small(graph: &Graph) -> Option<Vec<VertexId>> {
     let n = graph.vertex_count();
     assert!(n <= 20, "Hamiltonian DP limited to 20 vertices, got {n}");
@@ -254,8 +267,11 @@ pub fn pure_ne_existence_path(game: &TupleGame<'_>) -> Result<PathPureOutcome, C
         });
     }
     match hamiltonian_path_small(graph) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the Hamiltonian DP reconstructs an edge-connected order"
+        )]
         Some(vertices) => Ok(PathPureOutcome::Exists {
-            // lint: allow(panic) the Hamiltonian DP reconstructs an edge-connected order
             path: PathStrategy::new(graph, vertices).expect("DP emits a valid path"),
         }),
         None => Ok(PathPureOutcome::None {
@@ -307,15 +323,23 @@ pub fn cycle_path_ne(game: &TupleGame<'_>) -> Result<PathModelNe, CoreError> {
     let order = cycle_order(graph);
     let arcs: Vec<PathStrategy> = (0..n)
         .map(|start| {
-            // lint: allow(arith) n >= 1: cycle graphs are nonempty
-            let vertices: Vec<VertexId> = (0..=k).map(|j| order[(start + j) % n]).collect(); // lint: allow(index) (start + j) % n is below n = order.len()
-                                                                                             // lint: allow(panic) consecutive cycle vertices are adjacent, so arcs are paths
+            let vertices: Vec<VertexId> = order
+                .iter()
+                .cycle()
+                .skip(start)
+                .take(k + 1)
+                .copied()
+                .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "consecutive cycle vertices are adjacent, so arcs are paths"
+            )]
             PathStrategy::new(graph, vertices).expect("arcs of a cycle are paths")
         })
         .collect();
     let attacker = MixedStrategy::uniform(graph.vertices().collect());
     let defender = MixedStrategy::uniform(arcs);
-    // lint: allow(arith) n = vertex_count >= 1 for a constructed cycle game
+    // divisor nonzero: n = vertex_count >= 1 for a constructed cycle game
     let defender_gain = Ratio::from(k + 1) * Ratio::from(game.attacker_count()) / Ratio::from(n);
     Ok(PathModelNe {
         attacker,
@@ -329,14 +353,20 @@ fn cycle_order(graph: &Graph) -> Vec<VertexId> {
     let start = VertexId::new(0);
     let mut order = vec![start];
     let mut prev = start;
-    // lint: allow(panic) cycle graphs are 2-regular; every vertex has neighbors
+    #[expect(
+        clippy::expect_used,
+        reason = "cycle graphs are 2-regular; every vertex has neighbors"
+    )]
     let mut current = graph.neighbors(start).next().expect("cycles have edges");
     while current != start {
         order.push(current);
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle vertices have exactly two neighbors"
+        )]
         let next = graph
             .neighbors(current)
             .find(|&w| w != prev)
-            // lint: allow(panic) cycle vertices have exactly two neighbors
             .expect("cycle vertices have two neighbors");
         prev = current;
         current = next;
@@ -360,14 +390,20 @@ pub fn verify_path_ne(
     // Hit probabilities.
     let mut hit = vec![Ratio::ZERO; graph.vertex_count()];
     for (p, prob) in ne.defender.iter() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hit is sized by vertex_count; VertexId::index is in range"
+        )]
         for &v in p.vertices() {
-            // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
             hit[v.index()] += prob;
         }
     }
     let min_hit = hit.iter().copied().min().unwrap_or(Ratio::ZERO);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hit is sized by vertex_count; VertexId::index is in range"
+    )]
     for (v, prob) in ne.attacker.iter() {
-        // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
         if prob > Ratio::ZERO && hit[v.index()] != min_hit {
             return Ok(false);
         }
@@ -378,8 +414,11 @@ pub fn verify_path_ne(
         .vertices()
         .map(|v| ne.attacker.probability(&v) * nu)
         .collect();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mass is sized by vertex_count; VertexId::index is in range"
+    )]
     let path_mass =
-        // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
         |p: &PathStrategy| -> Ratio { p.vertices().iter().map(|v| mass[v.index()]).sum() };
     let max_mass = all_paths(graph, game.k(), limit)?
         .iter()

@@ -22,7 +22,10 @@ pub fn hit_probabilities(game: &TupleGame<'_>, config: &MixedConfig) -> Vec<Rati
         .collect();
     for (t, p) in config.defender().iter() {
         for v in t.vertices(graph) {
-            // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "hit is sized by vertex_count; VertexId::index is in range"
+            )]
             hit[v.index()].add(p);
         }
     }
@@ -49,7 +52,10 @@ pub fn vertex_mass(game: &TupleGame<'_>, config: &MixedConfig) -> Vec<Ratio> {
         .collect();
     for s in config.attackers() {
         for (v, p) in s.iter() {
-            // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "mass is sized by vertex_count; VertexId::index is in range"
+            )]
             mass[v.index()].add(p);
         }
     }
@@ -58,10 +64,13 @@ pub fn vertex_mass(game: &TupleGame<'_>, config: &MixedConfig) -> Vec<Ratio> {
 
 /// `m_s(e) = m_s(u) + m_s(v)` for an edge `e = (u, v)`.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "mass is sized by vertex_count; VertexId::index is in range"
+)]
 pub fn edge_mass(game: &TupleGame<'_>, config: &MixedConfig, e: EdgeId) -> Ratio {
     let mass = vertex_mass(game, config);
     let ep = game.graph().endpoints(e);
-    // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
     mass[ep.u().index()] + mass[ep.v().index()]
 }
 
@@ -77,10 +86,13 @@ pub fn tuple_mass(game: &TupleGame<'_>, config: &MixedConfig, t: &Tuple) -> Rati
 /// recomputation in sweeps over many tuples).
 #[must_use]
 pub fn tuple_mass_with(mass: &[Ratio], game: &TupleGame<'_>, t: &Tuple) -> Ratio {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mass is sized by vertex_count; VertexId::index is in range"
+    )]
     Ratio::sum_iter(
         t.vertices(game.graph())
             .into_iter()
-            // lint: allow(index) mass is sized by vertex_count; VertexId::index is in range
             .map(|v| mass[v.index()]),
     )
 }
@@ -94,11 +106,14 @@ pub fn tuple_mass_with(mass: &[Ratio], game: &TupleGame<'_>, t: &Tuple) -> Ratio
 #[must_use]
 pub fn expected_ip_vertex_player(game: &TupleGame<'_>, config: &MixedConfig, i: usize) -> Ratio {
     let hit = hit_probabilities(game, config);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hit is sized by vertex_count; VertexId::index is in range"
+    )]
     Ratio::dot_iter(
         config
             .attacker(i)
             .iter()
-            // lint: allow(index) hit is sized by vertex_count; VertexId::index is in range
             .map(|(v, p)| (p, Ratio::ONE - hit[v.index()])),
     )
 }

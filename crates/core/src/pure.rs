@@ -63,8 +63,11 @@ pub fn pure_ne_existence(game: &TupleGame<'_>) -> PureNeOutcome {
     let graph = game.graph();
     match edge_cover_of_size(graph, game.k()) {
         Some(cover) => {
+            #[expect(
+                clippy::expect_used,
+                reason = "edge_cover_of_size returns k distinct edges"
+            )]
             let defender =
-                // lint: allow(panic) edge_cover_of_size returns k distinct edges
                 Tuple::new(cover.clone()).expect("edge_cover_of_size returns k distinct edges");
             let equilibrium = PureConfig {
                 attacker_choices: vec![VertexId::new(0); game.attacker_count()],
@@ -72,9 +75,12 @@ pub fn pure_ne_existence(game: &TupleGame<'_>) -> PureNeOutcome {
             };
             PureNeOutcome::Exists { equilibrium, cover }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "game-ready graphs are validated to have no isolated vertices"
+        )]
         None => PureNeOutcome::None {
             min_cover_size: edge_cover_number(graph)
-                // lint: allow(panic) game-ready graphs are validated to have no isolated vertices
                 .expect("game-ready graphs have no isolated vertices"),
         },
     }

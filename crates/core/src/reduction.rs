@@ -65,11 +65,18 @@ pub fn expand_to_k_matching(
             support_size: e_num,
         });
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cyclic windows index 0..E_num = labeled.len() by construction"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "cyclic windows with k <= E_num are distinct edges"
+    )]
     let tuples = cyclic_tuples(e_num, k)
         .into_iter()
         .map(|window| {
             Tuple::new(window.into_iter().map(|i| labeled[i]).collect())
-                // lint: allow(panic) cyclic windows with k <= E_num are distinct edges
                 .expect("cyclic windows with k ≤ E_num have distinct edges")
         })
         .collect();
@@ -94,8 +101,11 @@ pub fn cyclic_tuples(e_num: usize, k: usize) -> Vec<Vec<usize>> {
         "cyclic construction needs 1 ≤ k ≤ E_num"
     );
     let delta = support_tuple_count(e_num, k);
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "e_num >= k >= 1 asserted above"
+    )]
     (0..delta)
-        // lint: allow(arith) e_num >= k >= 1 asserted above
         .map(|i| (0..k).map(|j| (i * k + j) % e_num).collect())
         .collect()
 }
@@ -103,13 +113,21 @@ pub fn cyclic_tuples(e_num: usize, k: usize) -> Vec<Vec<usize>> {
 /// `δ = E_num / gcd(E_num, k)` — the number of tuples the construction
 /// emits (the minimum achieving equal edge multiplicities, per Lemma 4.8).
 #[must_use]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "gcd with positive k is >= 1"
+)]
 pub fn support_tuple_count(e_num: usize, k: usize) -> usize {
-    e_num / gcd(e_num as u128, k as u128) as usize // lint: allow(arith) gcd with positive k is >= 1
+    e_num / gcd(e_num as u128, k as u128) as usize
 }
 
 /// Claim 4.9: each support edge belongs to exactly `k / gcd(E_num, k)`
 /// tuples of the construction.
 #[must_use]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "gcd with positive k is >= 1"
+)]
 pub fn per_edge_multiplicity(e_num: usize, k: usize) -> usize {
     k / gcd(e_num as u128, k as u128) as usize
 }
@@ -119,7 +137,7 @@ pub fn per_edge_multiplicity(e_num: usize, k: usize) -> usize {
 /// produced by the reduction (Corollaries 4.7 and 4.10).
 #[must_use]
 pub fn gain_ratio(k_ne: &KMatchingNe, edge_ne: &MatchingNe) -> Ratio {
-    // lint: allow(arith) matching-NE defender gain is positive (Theorem 3.1)
+    // divisor nonzero: matching-NE defender gain is positive (Theorem 3.1)
     k_ne.defender_gain() / edge_ne.defender_gain()
 }
 

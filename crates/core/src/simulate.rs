@@ -7,6 +7,13 @@
 //! empirical means against the exact expectations of equations (1)–(2).
 //! Experiment E7 drives this module.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    reason = "The Monte-Carlo harness; the exact path never calls it."
+)]
+
 use defender_num::rng::{Rng, StdRng};
 
 use defender_game::MixedStrategy;
@@ -79,15 +86,23 @@ impl<'a, 'g> Simulator<'a, 'g> {
         for _ in 0..sim.rounds {
             let tuple = sample(self.config.defender(), &mut rng);
             let mut covered = vec![false; graph.vertex_count()];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "covered is sized by vertex_count; VertexId::index is in range"
+            )]
             for v in tuple.vertices(graph) {
                 covered[v.index()] = true;
             }
-            for (i, strategy) in self.config.attackers().iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "covered is sized by vertex_count; VertexId::index is in range"
+            )]
+            for (strategy, escaped) in self.config.attackers().iter().zip(&mut escapes) {
                 let v = sample(strategy, &mut rng);
                 if covered[v.index()] {
                     total_caught += 1;
                 } else {
-                    escapes[i] += 1;
+                    *escaped += 1;
                 }
             }
         }
@@ -114,8 +129,11 @@ fn sample<'s, S: Clone + Ord, R: Rng + ?Sized>(
 ) -> &'s S {
     // Draw u uniform in [0, 1) as a rational with 2^53 granularity.
     let u = rng.gen_f64();
+    #[expect(
+        clippy::expect_used,
+        reason = "distributions sum to one, so the CDF scan always lands"
+    )]
     pick_by_cdf(strategy.iter().map(|(s, p)| (s, p.to_f64())), u)
-        // lint: allow(panic) distributions sum to one, so the CDF scan always lands
         .expect("mixed strategies have a positive-probability entry")
 }
 

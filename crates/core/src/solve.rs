@@ -77,8 +77,11 @@ pub fn solve_exact_hinted(
         .iter()
         .map(|t| {
             let mut row = vec![Ratio::ZERO; graph.vertex_count()];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row is sized by vertex_count; VertexId::index is in range"
+            )]
             for v in t.vertices(graph) {
-                // lint: allow(index) row is sized by vertex_count; VertexId::index is in range
                 row[v.index()] = Ratio::ONE;
             }
             row
@@ -99,11 +102,17 @@ pub fn solve_exact_hinted(
         .zip(solution.col_strategy.iter().copied())
         .filter(|(_, p)| !p.is_zero())
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the LP returns a normalized distribution"
+    )]
     let defender =
-        // lint: allow(panic) the LP returns a normalized distribution
         MixedStrategy::from_entries(defender_entries).expect("LP strategies are distributions");
+    #[expect(
+        clippy::expect_used,
+        reason = "the LP returns a normalized distribution"
+    )]
     let attacker =
-        // lint: allow(panic) the LP returns a normalized distribution
         MixedStrategy::from_entries(attacker_entries).expect("LP strategies are distributions");
     let config = MixedConfig::symmetric(game, attacker, defender)?;
     let defender_gain = solution.value * Ratio::from(game.attacker_count());
@@ -170,7 +179,7 @@ mod tests {
             let exact = solve_exact(&game, LIMIT).unwrap();
             assert_eq!(
                 exact.value,
-                Ratio::new(k as i64, is_size as i64),
+                Ratio::from(k) / Ratio::from(is_size),
                 "{graph:?}, k = {k}: constant-sum games have a unique value"
             );
             // And matches the constructive equilibrium's gain.
@@ -205,7 +214,11 @@ mod tests {
         for k in 1..=2usize {
             let game = TupleGame::new(&c5, k, 1).unwrap();
             let exact = solve_exact(&game, LIMIT).unwrap();
-            assert_eq!(exact.value, Ratio::new(2 * k as i64, 5), "C5, k = {k}");
+            assert_eq!(
+                exact.value,
+                Ratio::from(2 * k) / Ratio::from(5),
+                "C5, k = {k}"
+            );
         }
 
         // A "tadpole": triangle with a pendant path — no perfect matching

@@ -162,29 +162,35 @@ pub fn all_tuples(graph: &Graph, k: usize, limit: usize) -> Result<Vec<Tuple>, C
     }
     let _span = defender_obs::span!("all_tuples");
     defender_obs::counter!("core.exhaustive.tuples_enumerated")
-        // lint: allow(cast) clamped to u64::MAX on this line; cannot truncate
-        .add(count.unwrap_or(0).min(u128::from(u64::MAX)) as u64);
+        .add(u64::try_from(count.unwrap_or(0)).unwrap_or(u64::MAX));
     let mut out = Vec::with_capacity(count.unwrap_or(0) as usize);
     let mut indices: Vec<usize> = (0..k).collect();
+    #[expect(clippy::indexing_slicing, reason = "i < k from the break above")]
     loop {
         out.push(Tuple {
             edges: indices.iter().map(|&i| EdgeId::new(i)).collect(),
         });
         // Advance the combination.
         let mut i = k;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i < k = indices.len(): loop decrements from k"
+        )]
         loop {
             if i == 0 {
                 return Ok(out);
             }
             i -= 1;
-            // lint: allow(index) i < k = indices.len(): loop decrements from k
             if indices[i] != i + m - k {
                 break;
             }
         }
-        indices[i] += 1; // lint: allow(index) i < k from the break above
+        indices[i] += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "j in i+1..k and j-1 >= i are in range"
+        )]
         for j in i + 1..k {
-            // lint: allow(index) j in i+1..k and j-1 >= i are in range
             indices[j] = indices[j - 1] + 1;
         }
     }
@@ -198,8 +204,9 @@ fn binomial(n: usize, k: usize) -> Option<u128> {
     let k = k.min(n - k);
     let mut acc: u128 = 1;
     for i in 0..k {
-        acc = acc.checked_mul((n - i) as u128)?;
-        acc /= (i + 1) as u128; // lint: allow(arith) divisor i + 1 >= 1
+        #[expect(clippy::integer_division_remainder_used, reason = "divisor i + 1 >= 1")]
+        let next = acc.checked_mul((n - i) as u128)? / (i + 1) as u128;
+        acc = next;
     }
     Some(acc)
 }

@@ -27,8 +27,7 @@ impl TwoPlayerMatrixGame {
             !row_payoff.is_empty(),
             "row player needs at least one strategy"
         );
-        // lint: allow(index) non-empty row set asserted on the line above
-        let cols = row_payoff[0].len();
+        let cols = row_payoff.first().map_or(0, Vec::len);
         assert!(cols > 0, "column player needs at least one strategy");
         assert!(
             row_payoff.iter().all(|r| r.len() == cols),
@@ -72,7 +71,7 @@ impl TwoPlayerMatrixGame {
     /// Number of column strategies.
     #[must_use]
     pub fn cols(&self) -> usize {
-        self.row_payoff[0].len() // lint: allow(index) constructor asserts at least one row strategy
+        self.row_payoff.first().map_or(0, Vec::len)
     }
 }
 
@@ -87,20 +86,35 @@ impl StrategicGame for TwoPlayerMatrixGame {
         match player {
             0 => (0..self.rows()).collect(),
             1 => (0..self.cols()).collect(),
-            // lint: allow(panic) documented two-player contract of the Game trait
+            #[expect(
+                clippy::panic,
+                reason = "documented two-player contract of the Game trait"
+            )]
             _ => panic!("two-player game has players 0 and 1, not {player}"),
         }
     }
 
     fn payoff(&self, player: usize, profile: &[usize]) -> Ratio {
-        // lint: allow(index) Game contract: a two-player profile has two entries
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Game contract: a two-player profile has two entries"
+        )]
         let (i, j) = (profile[0], profile[1]);
         match player {
-            // lint: allow(index) profile holds strategy indices below rows()/cols()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "profile holds strategy indices below rows()/cols()"
+            )]
             0 => self.row_payoff[i][j],
-            // lint: allow(index) profile holds strategy indices below rows()/cols()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "profile holds strategy indices below rows()/cols()"
+            )]
             1 => self.col_payoff[i][j],
-            // lint: allow(panic) documented two-player contract of the Game trait
+            #[expect(
+                clippy::panic,
+                reason = "documented two-player contract of the Game trait"
+            )]
             _ => panic!("two-player game has players 0 and 1, not {player}"),
         }
     }

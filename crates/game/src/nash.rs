@@ -86,7 +86,10 @@ fn product_walk<G: StrategicGame>(
         total.add_mul(weight, game.payoff(player, pure));
         return;
     }
-    // lint: allow(index) depth < profile.len(): recursion base checked above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "depth < profile.len(): recursion base checked above"
+    )]
     for (s, p) in profile[depth].iter() {
         pure.push(s.clone());
         product_walk(game, player, profile, depth + 1, weight * p, pure, total);
@@ -97,6 +100,10 @@ fn product_walk<G: StrategicGame>(
 /// Expected payoff of `player` when it deviates to the pure strategy
 /// `deviation` and everyone else keeps mixing per `profile`.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "player < profile.len() by the Game contract"
+)]
 pub fn deviation_payoff<G: StrategicGame>(
     game: &G,
     player: usize,
@@ -104,7 +111,6 @@ pub fn deviation_payoff<G: StrategicGame>(
     deviation: &G::Strategy,
 ) -> Ratio {
     let mut patched = profile.to_vec();
-    // lint: allow(index) player < profile.len() by the Game contract
     patched[player] = MixedStrategy::pure(deviation.clone());
     expected_payoff(game, player, &patched)
 }
@@ -121,6 +127,10 @@ pub fn best_response<G: StrategicGame>(
     player: usize,
     profile: &[MixedStrategy<G::Strategy>],
 ) -> (G::Strategy, Ratio) {
+    #[expect(
+        clippy::expect_used,
+        reason = "strategy sets are non-empty by Game construction"
+    )]
     game.strategies(player)
         .into_iter()
         .map(|s| {
@@ -128,7 +138,6 @@ pub fn best_response<G: StrategicGame>(
             (s, value)
         })
         .max_by(|a, b| a.1.cmp(&b.1))
-        // lint: allow(panic) strategy sets are non-empty by Game construction
         .expect("players have non-empty strategy sets")
 }
 
@@ -191,12 +200,15 @@ fn enumerate_profiles<G: StrategicGame>(
     profile: &mut Vec<G::Strategy>,
     out: &mut Vec<Vec<G::Strategy>>,
 ) {
-    if depth == universes.len() {
-        let stable = (0..game.player_count()).all(|player| {
+    let Some(universe) = universes.get(depth) else {
+        // A complete profile: one strategy per player.
+        let stable = universes.iter().enumerate().all(|(player, options)| {
             let current = game.payoff(player, profile);
-            universes[player].iter().all(|s| {
+            options.iter().all(|s| {
                 let mut patched = profile.clone();
-                patched[player] = s.clone();
+                if let Some(slot) = patched.get_mut(player) {
+                    *slot = s.clone();
+                }
                 game.payoff(player, &patched) <= current
             })
         });
@@ -204,8 +216,8 @@ fn enumerate_profiles<G: StrategicGame>(
             out.push(profile.clone());
         }
         return;
-    }
-    for s in &universes[depth] {
+    };
+    for s in universe {
         profile.push(s.clone());
         enumerate_profiles(game, universes, depth + 1, profile, out);
         profile.pop();

@@ -79,9 +79,9 @@ impl<S: Clone + Ord> MixedStrategy<S> {
             !support.is_empty(),
             "uniform distribution needs a non-empty support"
         );
+        #[expect(clippy::expect_used, reason = "support sizes are far below i64::MAX")]
         let p = Ratio::new(
             1,
-            // lint: allow(panic) support sizes are far below i64::MAX
             i64::try_from(support.len()).expect("support fits in i64"),
         );
         MixedStrategy {
@@ -116,8 +116,7 @@ impl<S: Clone + Ord> MixedStrategy<S> {
             return Err(StrategyError::BadTotal(total));
         }
         kept.sort_by(|a, b| a.0.cmp(&b.0));
-        // lint: allow(index) windows(2) yields exactly two elements
-        if kept.windows(2).any(|w| w[0].0 == w[1].0) {
+        if kept.windows(2).any(|w| matches!(w, [a, b] if a.0 == b.0)) {
             return Err(StrategyError::DuplicateStrategy);
         }
         Ok(MixedStrategy { entries: kept })
@@ -140,9 +139,9 @@ impl<S: Clone + Ord> MixedStrategy<S> {
     pub fn probability(&self, s: &S) -> Ratio {
         self.entries
             .binary_search_by(|(t, _)| t.cmp(s))
-            // lint: allow(index) binary_search hit: i is a valid entry index
-            .map(|i| self.entries[i].1)
-            .unwrap_or(Ratio::ZERO)
+            .ok()
+            .and_then(|i| self.entries.get(i))
+            .map_or(Ratio::ZERO, |&(_, p)| p)
     }
 
     /// Whether the distribution is degenerate (a single pure strategy).
@@ -154,7 +153,9 @@ impl<S: Clone + Ord> MixedStrategy<S> {
     /// Whether every support member has the same probability.
     #[must_use]
     pub fn is_uniform(&self) -> bool {
-        self.entries.windows(2).all(|w| w[0].1 == w[1].1)
+        self.entries
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a.1 == b.1))
     }
 
     /// Iterates over `(strategy, probability)` pairs of the support.

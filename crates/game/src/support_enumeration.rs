@@ -84,12 +84,15 @@ impl PruneTables {
             .collect();
 
         // lt_a[i][i']: columns where row i pays strictly less than row i'.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i, i2 < rows and j < cols loop bounds"
+        )]
         let lt_a: Vec<Vec<u32>> = (0..rows)
             .map(|i| {
                 (0..rows)
                     .map(|i2| {
                         (0..cols)
-                            // lint: allow(index) i, i2 < rows and j < cols loop bounds
                             .filter(|&j| a[i][j] < a[i2][j])
                             .fold(0u32, |m, j| m | (1 << j))
                     })
@@ -100,23 +103,30 @@ impl PruneTables {
         // (`lt_a[i'][i]` misses `cm`) and strictly better somewhere in it.
         let dom_rows_by_colmask: Vec<u32> = (0..(1usize << cols))
             .map(|cm| {
-                let cm = cm as u32; // lint: allow(cast) cols <= MAX_STRATEGIES = 12; masks fit u32
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "cols <= MAX_STRATEGIES = 12; masks fit u32"
+                )]
+                let cm = cm as u32;
+                #[expect(clippy::indexing_slicing, reason = "lt_a is rows x rows; loop bounds")]
                 (0..rows)
                     .filter(|&i| {
                         (0..rows)
-                            // lint: allow(index) lt_a is rows x rows; loop bounds
                             .any(|i2| i2 != i && lt_a[i2][i] & cm == 0 && lt_a[i][i2] & cm != 0)
                     })
                     .fold(0u32, |m, i| m | (1 << i))
             })
             .collect();
 
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i < rows and j, j2 < cols loop bounds"
+        )]
         let col_lt_rows: Vec<Vec<u32>> = (0..cols)
             .map(|j| {
                 (0..cols)
                     .map(|j2| {
                         (0..rows)
-                            // lint: allow(index) i < rows and j, j2 < cols loop bounds
                             .filter(|&i| b[i][j] < b[i][j2])
                             .fold(0u32, |m, i| m | (1 << i))
                     })
@@ -127,8 +137,8 @@ impl PruneTables {
         let mut row_eq_cols = Vec::new();
         for i in 0..rows {
             for i2 in i + 1..rows {
+                #[expect(clippy::indexing_slicing, reason = "a is rows x cols; loop bounds")]
                 let eq = (0..cols)
-                    // lint: allow(index) a is rows x cols; loop bounds
                     .filter(|&j| a[i][j] == a[i2][j])
                     .fold(0u32, |m, j| m | (1 << j));
                 if eq != 0 {
@@ -139,8 +149,8 @@ impl PruneTables {
         let mut col_eq_rows = Vec::new();
         for j in 0..cols {
             for j2 in j + 1..cols {
+                #[expect(clippy::indexing_slicing, reason = "b is rows x cols; loop bounds")]
                 let eq = (0..rows)
-                    // lint: allow(index) b is rows x cols; loop bounds
                     .filter(|&i| b[i][j] == b[i][j2])
                     .fold(0u32, |m, i| m | (1 << i));
                 if eq != 0 {
@@ -152,10 +162,13 @@ impl PruneTables {
         // The wholesale row-support skip needs dominance that survives
         // restriction to *every* column subset, i.e. strict on every
         // single column — weak-with-one-strict does not restrict.
-        // lint: allow(cast) cols <= MAX_STRATEGIES = 12; the mask fits u32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "cols <= MAX_STRATEGIES = 12; the mask fits u32"
+        )]
         let all_cols = ((1u64 << cols) - 1) as u32;
+        #[expect(clippy::indexing_slicing, reason = "lt_a is rows x rows; loop bounds")]
         let globally_dominated_rows = (0..rows)
-            // lint: allow(index) lt_a is rows x rows; loop bounds
             .filter(|&i| (0..rows).any(|i2| i2 != i && lt_a[i][i2] == all_cols))
             .fold(0u32, |m, i| m | (1 << i));
         PruneTables {
@@ -185,13 +198,15 @@ impl RowMaskFilters {
         // Columns dominated on this row support (rule 1): some `j'` is
         // nowhere worse on the support and strictly better on at least
         // one supported row.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col_lt_rows is cols x cols; loop bounds"
+        )]
         let dominated_cols = (0..cols)
             .filter(|&j| {
                 (0..cols).any(|j2| {
                     j2 != j
-                        // lint: allow(index) col_lt_rows is cols x cols; loop bounds
                         && tables.col_lt_rows[j2][j] & row_mask == 0
-                        // lint: allow(index) col_lt_rows is cols x cols; loop bounds
                         && tables.col_lt_rows[j][j2] & row_mask != 0
                 })
             })
@@ -223,13 +238,20 @@ impl RowMaskFilters {
     /// equilibrium (rules 1–4; rule 2 is the table lookup).
     fn prunes(&self, tables: &PruneTables, row_mask: u32, col_mask: u32) -> bool {
         col_mask & self.dominated_cols != 0
-            || tables.dom_rows_by_colmask[col_mask as usize] & row_mask != 0
+            || tables
+                .dom_rows_by_colmask
+                .get(col_mask as usize)
+                .is_some_and(|&rows| rows & row_mask != 0)
             || self.dup_row_eqs.iter().any(|&eq| col_mask & !eq == 0)
             || self.dup_col_pairs.iter().any(|&pm| pm & !col_mask == 0)
     }
 }
 
 /// `C(n, k)` for the tiny ranges of the enumeration (`n ≤ 12`).
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "divisor i + 1 >= 1, and the running product of i + 1 consecutive integers divides exactly"
+)]
 fn binomial(n: usize, k: usize) -> u64 {
     if k > n {
         return 0;
@@ -277,7 +299,11 @@ pub fn enumerate_equilibria(game: &TwoPlayerMatrixGame) -> Vec<BimatrixEquilibri
     // flushes once per row mask to keep atomics off the hot path.
     let blocks: Vec<Vec<BimatrixEquilibrium>> =
         defender_par::par_for_indexed((1usize << rows) - 1, |idx| {
-            let row_mask = idx as u32 + 1; // lint: allow(cast) idx < 2^rows <= 2^12; fits u32
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "idx < 2^rows <= 2^12; fits u32"
+            )]
+            let row_mask = idx as u32 + 1;
             let support_size = row_mask.count_ones() as usize;
             let mut size_mismatch = 0u64;
             let mut tested_legacy = 0u64;
@@ -441,7 +467,10 @@ fn try_supports(
     let mut rhs = vec![Ratio::ZERO; k];
     rhs.push(Ratio::ONE);
     let y_solution = solve_linear(&y_system, &rhs)?;
-    // lint: allow(index) solve_linear returned k + 1 entries for the k+1 system
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "solve_linear returned k + 1 entries for the k+1 system"
+    )]
     let (y, v) = (&y_solution[..k], y_solution[k]);
 
     // Row mixture x and value w: column player indifferent across C.
@@ -461,7 +490,10 @@ fn try_supports(
     let mut rhs = vec![Ratio::ZERO; k];
     rhs.push(Ratio::ONE);
     let x_solution = solve_linear(&x_system, &rhs)?;
-    // lint: allow(index) solve_linear returned k + 1 entries for the k+1 system
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "solve_linear returned k + 1 entries for the k+1 system"
+    )]
     let (x, w) = (&x_solution[..k], x_solution[k]);
 
     // Supports must be played with strictly positive probability (smaller
@@ -501,11 +533,17 @@ fn try_supports(
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "linsolve returned a verified positive distribution"
+    )]
     let row = MixedStrategy::from_entries(support_r.iter().zip(x).map(|(&i, &p)| (i, p)).collect())
-        // lint: allow(panic) linsolve returned a verified positive distribution
         .expect("positive probabilities summing to one");
+    #[expect(
+        clippy::expect_used,
+        reason = "linsolve returned a verified positive distribution"
+    )]
     let col = MixedStrategy::from_entries(support_c.iter().zip(y).map(|(&j, &p)| (j, p)).collect())
-        // lint: allow(panic) linsolve returned a verified positive distribution
         .expect("positive probabilities summing to one");
     debug_assert!(nash::verify_two_player(game, &row, &col).is_equilibrium());
     Some(BimatrixEquilibrium {

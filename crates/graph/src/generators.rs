@@ -223,7 +223,10 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
         .map(std::cmp::Reverse)
         .collect();
     for &p in &prufer {
-        // lint: allow(panic) Prüfer invariant: n - 2 symbols over n vertices leave a leaf at every step
+        #[expect(
+            clippy::expect_used,
+            reason = "Prüfer invariant: n - 2 symbols over n vertices leave a leaf at every step"
+        )]
         let std::cmp::Reverse(leaf) = leaves.pop().expect("Prüfer decoding always has a leaf");
         b.add_edge(leaf, p);
         degree[p] -= 1;
@@ -231,9 +234,15 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
             leaves.push(std::cmp::Reverse(p));
         }
     }
-    // lint: allow(panic) Prüfer invariant: exactly two leaves remain after the main loop
+    #[expect(
+        clippy::expect_used,
+        reason = "Prüfer invariant: exactly two leaves remain after the main loop"
+    )]
     let std::cmp::Reverse(a) = leaves.pop().expect("two leaves remain");
-    // lint: allow(panic) Prüfer invariant: exactly two leaves remain after the main loop
+    #[expect(
+        clippy::expect_used,
+        reason = "Prüfer invariant: exactly two leaves remain after the main loop"
+    )]
     let std::cmp::Reverse(c) = leaves.pop().expect("two leaves remain");
     b.add_edge(a, c);
     b.build()

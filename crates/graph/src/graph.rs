@@ -16,7 +16,10 @@ impl VertexId {
     /// Creates a vertex id from a raw index.
     #[must_use]
     pub fn new(index: usize) -> VertexId {
-        // lint: allow(panic) graphs are capped far below u32::MAX vertices
+        #[expect(
+            clippy::expect_used,
+            reason = "graphs are capped far below u32::MAX vertices"
+        )]
         VertexId(u32::try_from(index).expect("vertex index fits in u32"))
     }
 
@@ -55,7 +58,10 @@ impl EdgeId {
     /// Creates an edge id from a raw index.
     #[must_use]
     pub fn new(index: usize) -> EdgeId {
-        // lint: allow(panic) graphs are capped far below u32::MAX edges
+        #[expect(
+            clippy::expect_used,
+            reason = "graphs are capped far below u32::MAX edges"
+        )]
         EdgeId(u32::try_from(index).expect("edge index fits in u32"))
     }
 
@@ -147,7 +153,10 @@ impl Endpoints {
     pub fn other(self, w: VertexId) -> VertexId {
         match self.try_other(w) {
             Some(v) => v,
-            // lint: allow(panic) documented contract; try_other is the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented contract; try_other is the fallible form"
+            )]
             None => panic!("{w} is not an endpoint of edge ({}, {})", self.u, self.v),
         }
     }

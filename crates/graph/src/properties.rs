@@ -46,7 +46,10 @@ impl Bipartition {
     pub fn side_of(&self, v: VertexId) -> usize {
         match self.try_side_of(v) {
             Some(side) => side,
-            // lint: allow(panic) documented contract; try_side_of is the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented contract; try_side_of is the fallible form"
+            )]
             None => panic!("{v} is not covered by this bipartition"),
         }
     }

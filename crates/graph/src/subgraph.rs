@@ -60,11 +60,14 @@ pub fn spanned_by_edges(graph: &Graph, edges: &[EdgeId]) -> Subgraph {
     sorted_edges.sort_unstable();
     sorted_edges.dedup();
     let vertex_map = graph.endpoint_set(&sorted_edges);
+    #[expect(
+        clippy::expect_used,
+        reason = "vertex_map is the sorted endpoint set of these exact edges"
+    )]
     let local = |parent: VertexId| {
         VertexId::new(
             vertex_map
                 .binary_search(&parent)
-                // lint: allow(panic) vertex_map is the sorted endpoint set of these exact edges
                 .expect("endpoint is in the endpoint set"),
         )
     };
@@ -95,11 +98,14 @@ pub fn induced_by_vertices(graph: &Graph, vertices: &[VertexId]) -> Subgraph {
     for &v in &vertex_map {
         member[v.index()] = true;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "vertex_map holds every member vertex by construction"
+    )]
     let local = |parent: VertexId| {
         VertexId::new(
             vertex_map
                 .binary_search(&parent)
-                // lint: allow(panic) vertex_map holds every member vertex by construction
                 .expect("vertex is a member"),
         )
     };

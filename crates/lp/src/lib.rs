@@ -27,6 +27,23 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): exactness, determinism, panic, panic2, cast.
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 pub mod linsolve;
 pub mod simplex;

@@ -51,24 +51,48 @@ pub fn solve_linear(a: &[Vec<Ratio>], b: &[Ratio]) -> Option<Vec<Ratio>> {
 
     for col in 0..n {
         // Pivot: first row at/below `col` with a non-zero entry.
-        // lint: allow(index) square augmented matrix: col < n rows present
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "square augmented matrix: col < n rows present"
+        )]
         let pivot_row = (col..n).find(|&r| !m[r][col].is_zero())?;
         m.swap(col, pivot_row);
-        let pivot = m[col][col]; // lint: allow(index) col < n; every row has n + 1 entries
-        row_scale_div(&mut m[col], pivot); // lint: allow(index) col < n = m.len()
-                                           // lint: allow(index) col..=n is within the n+1-entry row
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col < n; every row has n + 1 entries"
+        )]
+        let pivot = m[col][col];
+        #[expect(clippy::indexing_slicing, reason = "col < n = m.len()")]
+        row_scale_div(&mut m[col], pivot);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col..=n is within the n+1-entry row"
+        )]
         let pivot_row: Vec<Ratio> = m[col][col..=n].to_vec();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every row has n + 1 entries; col < n"
+        )]
         for (r, row) in m.iter_mut().enumerate() {
-            // lint: allow(index) every row has n + 1 entries; col < n
             if r == col || row[col].is_zero() {
                 continue;
             }
-            let factor = row[col]; // lint: allow(index) every row has n + 1 entries; col < n
-                                   // lint: allow(index) col..=n is within the n+1-entry row
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "every row has n + 1 entries; col < n"
+            )]
+            let factor = row[col];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "col..=n is within the n+1-entry row"
+            )]
             row_eliminate(&mut row[col..=n], factor, &pivot_row);
         }
     }
-    // lint: allow(index) every row has n + 1 entries; n is the rhs column
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every row has n + 1 entries; n is the rhs column"
+    )]
     Some(m.into_iter().map(|row| row[n]).collect())
 }
 
@@ -87,7 +111,10 @@ pub fn determinant(a: &[Vec<Ratio>]) -> Ratio {
     let mut m: Vec<Vec<Ratio>> = a.to_vec();
     let mut det = Ratio::ONE;
     for col in 0..n {
-        // lint: allow(index) square augmented matrix: col < n rows present
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "square augmented matrix: col < n rows present"
+        )]
         let Some(pivot_row) = (col..n).find(|&r| !m[r][col].is_zero()) else {
             return Ratio::ZERO;
         };
@@ -95,18 +122,35 @@ pub fn determinant(a: &[Vec<Ratio>]) -> Ratio {
             m.swap(col, pivot_row);
             det = -det;
         }
-        let pivot = m[col][col]; // lint: allow(index) col < n; every row has n + 1 entries
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col < n; every row has n + 1 entries"
+        )]
+        let pivot = m[col][col];
         det *= pivot;
-        // lint: allow(index) col..n is within the n+1-entry row
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col..n is within the n+1-entry row"
+        )]
         let pivot_row: Vec<Ratio> = m[col][col..n].to_vec();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every row has n + 1 entries; col < n"
+        )]
         for row in m.iter_mut().skip(col + 1) {
-            // lint: allow(index) every row has n + 1 entries; col < n
             if row[col].is_zero() {
                 continue;
             }
-            // lint: allow(arith) pivot chosen nonzero by the find above
-            let factor = row[col] / pivot; // lint: allow(index) every row has n + 1 entries; col < n
-                                           // lint: allow(index) col..n is within the n+1-entry row
+            // divisor nonzero: pivot chosen nonzero by the find above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "every row has n + 1 entries; col < n"
+            )]
+            let factor = row[col] / pivot;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "col..n is within the n+1-entry row"
+            )]
             row_eliminate(&mut row[col..n], factor, &pivot_row);
         }
     }
@@ -188,7 +232,7 @@ mod tests {
             let a: Vec<Vec<Ratio>> = (0..3)
                 .map(|_| {
                     (0..3)
-                        .map(|_| Ratio::from(rng.gen_range(0..9) as i64 - 4))
+                        .map(|_| Ratio::from(rng.gen_range(0..9)) - Ratio::from(4))
                         .collect()
                 })
                 .collect();

@@ -164,31 +164,43 @@ fn solve(
 
     let _span = defender_obs::span!("simplex");
     defender_obs::counter!("lp.simplex.calls").incr();
-    // lint: allow(cast) constraint count fits u64; usize to u64 lossless on 64-bit
     defender_obs::histogram!("lp.simplex.constraints").record(m as u64);
 
     // Tableau: m constraint rows over columns [x .. | slacks .. | rhs],
     // plus a reduced-cost row (maximization: positive entry ⇒ improvable).
     let cols = n + m + 1;
     let mut tableau: Vec<Vec<Ratio>> = Vec::with_capacity(m + 1);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n + i < n + m < cols; cols >= 1; i < m = b.len()"
+    )]
     for i in 0..m {
         let mut row = vec![Ratio::ZERO; cols];
-        // lint: allow(index) row has cols > n entries; i < m = a.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "row has cols > n entries; i < m = a.len()"
+        )]
         row[..n].copy_from_slice(&a[i]);
-        row[n + i] = Ratio::ONE; // lint: allow(index) n + i < n + m < cols
-        row[cols - 1] = b[i]; // lint: allow(index) cols >= 1; i < m = b.len()
+        row[n + i] = Ratio::ONE;
+        row[cols - 1] = b[i];
         tableau.push(row);
     }
     let mut objective = vec![Ratio::ZERO; cols];
-    objective[..n].copy_from_slice(c); // lint: allow(index) objective has cols > n entries
+    #[expect(clippy::indexing_slicing, reason = "objective has cols > n entries")]
+    objective[..n].copy_from_slice(c);
     tableau.push(objective);
 
     // basis[i]: the variable occupying constraint row i (starts at slacks).
     let mut basis: Vec<usize> = (n..n + m).collect();
     if let Some(target) = warm {
         install_basis(&mut tableau, &mut basis, target, n, m)?;
-        // lint: allow(index) i < m tableau rows; cols - 1 is the rhs column
-        if let Some(row) = (0..m).find(|&i| tableau[i][cols - 1] < Ratio::ZERO) {
+        if let Some(row) = (0..m).find(
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < m tableau rows; cols - 1 is the rhs column"
+            )]
+            |&i| tableau[i][cols - 1] < Ratio::ZERO,
+        ) {
             return Err(LpError::BasisRejected {
                 reason: format!("installed basis is primal-infeasible at row {row}"),
             });
@@ -199,21 +211,32 @@ fn solve(
     // Bland: entering variable = smallest column with positive reduced cost;
     // loop until no column can improve the objective (optimality).
     let mut pivots = 0u64;
-    // lint: allow(index) row m is the objective row; j < n + m < cols
-    while let Some(entering) = (0..n + m).find(|&j| tableau[m][j] > Ratio::ZERO) {
+    #[expect(clippy::indexing_slicing, reason = "pivot_row < m = basis.len()")]
+    while let Some(entering) = (0..n + m).find(
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "row m is the objective row; j < n + m < cols"
+        )]
+        |&j| tableau[m][j] > Ratio::ZERO,
+    ) {
         if pivots >= pivot_limit {
             return Err(LpError::PivotBudgetExceeded { limit: pivot_limit });
         }
         // Ratio test; Bland tie-break on the smallest basis variable.
         let mut leaving: Option<(usize, Ratio)> = None;
         for i in 0..m {
-            let coeff = tableau[i][entering]; // lint: allow(index) i < m; entering < n + m < cols
+            #[expect(clippy::indexing_slicing, reason = "i < m; entering < n + m < cols")]
+            let coeff = tableau[i][entering];
             if coeff > Ratio::ZERO {
-                // lint: allow(arith) coeff > 0 checked on the line above
-                let ratio = tableau[i][cols - 1] / coeff; // lint: allow(index) i < m; cols - 1 is the rhs column
+                // divisor nonzero: coeff > 0 checked on the line above
+                #[expect(clippy::indexing_slicing, reason = "i < m; cols - 1 is the rhs column")]
+                let ratio = tableau[i][cols - 1] / coeff;
                 let better = match &leaving {
                     None => true,
-                    // lint: allow(index) i and *li are below m = basis.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i and *li are below m = basis.len()"
+                    )]
                     Some((li, lr)) => ratio < *lr || (ratio == *lr && basis[i] < basis[*li]),
                 };
                 if better {
@@ -235,21 +258,30 @@ fn solve(
             defender_obs::counter!("lp.simplex.degenerate_pivots").incr();
         }
         pivot(&mut tableau, pivot_row, entering);
-        basis[pivot_row] = entering; // lint: allow(index) pivot_row < m = basis.len()
+        basis[pivot_row] = entering;
     }
 
     // Read the solution.
     let mut primal = vec![Ratio::ZERO; n];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "var < n checked above; i < m; cols - 1 in range"
+    )]
     for (i, &var) in basis.iter().enumerate() {
         if var < n {
-            // lint: allow(index) var < n checked above; i < m; cols - 1 in range
             primal[var] = tableau[i][cols - 1];
         }
     }
     // Reduced cost of slack i at optimum is −y_i.
-    // lint: allow(index) row m is the objective row; n + i < cols
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row m is the objective row; n + i < cols"
+    )]
     let dual: Vec<Ratio> = (0..m).map(|i| -tableau[m][n + i]).collect();
-    // lint: allow(index) row m is the objective row; cols - 1 in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row m is the objective row; cols - 1 in range"
+    )]
     let objective = -tableau[m][cols - 1];
     Ok(LpSolution {
         objective,
@@ -265,17 +297,23 @@ fn solve(
 /// of two, and none at all on the zero/integer fast paths. Shared by the
 /// Bland loop and warm-start installation.
 fn pivot(tableau: &mut [Vec<Ratio>], pivot_row: usize, entering: usize) {
-    // lint: allow(index) pivot_row < m + 1 rows; entering < cols
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pivot_row < m + 1 rows; entering < cols"
+    )]
     let pivot = tableau[pivot_row][entering];
-    // lint: allow(index) pivot_row is a valid tableau row
+    #[expect(clippy::indexing_slicing, reason = "pivot_row is a valid tableau row")]
     row_scale_div(&mut tableau[pivot_row], pivot);
-    // lint: allow(index) pivot_row is a valid tableau row
+    #[expect(clippy::indexing_slicing, reason = "pivot_row is a valid tableau row")]
     let pivot_values = tableau[pivot_row].clone();
     for (i, row) in tableau.iter_mut().enumerate() {
         if i == pivot_row {
             continue;
         }
-        // lint: allow(index) entering < cols; every row has cols entries
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "entering < cols; every row has cols entries"
+        )]
         let factor = row[entering];
         if factor.is_zero() {
             continue;
@@ -304,36 +342,43 @@ fn install_basis(
         });
     }
     let mut seen = vec![false; n + m];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v < n + m = seen.len() checked above"
+    )]
     for &v in target {
         if v >= n + m {
             return Err(LpError::BasisRejected {
                 reason: format!("variable {v} out of range (n + m = {})", n + m),
             });
         }
-        // lint: allow(index) v < n + m = seen.len() checked above
         if seen[v] {
             return Err(LpError::BasisRejected {
                 reason: format!("variable {v} appears twice"),
             });
         }
-        seen[v] = true; // lint: allow(index) v < n + m = seen.len() checked above
+        seen[v] = true;
     }
     // Rows whose initial slack stays basic keep their row; the rest are
     // free to receive the entering structural variables.
-    // lint: allow(index) n + i < n + m = seen.len()
+    #[expect(clippy::indexing_slicing, reason = "n + i < n + m = seen.len()")]
     let mut assigned: Vec<bool> = (0..m).map(|i| seen[n + i]).collect();
     let mut entering_vars: Vec<usize> = target.iter().copied().filter(|&v| v < n).collect();
     entering_vars.sort_unstable();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row < m = basis.len(); row < m = assigned.len()"
+    )]
     for j in entering_vars {
-        // lint: allow(index) i < m tableau rows; j < n < cols
+        #[expect(clippy::indexing_slicing, reason = "i < m tableau rows; j < n < cols")]
         let Some(row) = (0..m).find(|&i| !assigned[i] && !tableau[i][j].is_zero()) else {
             return Err(LpError::BasisRejected {
                 reason: format!("singular basis: no pivot row for variable {j}"),
             });
         };
         pivot(tableau, row, j);
-        basis[row] = j; // lint: allow(index) row < m = basis.len()
-        assigned[row] = true; // lint: allow(index) row < m = assigned.len()
+        basis[row] = j;
+        assigned[row] = true;
     }
     Ok(())
 }
@@ -531,19 +576,11 @@ mod tests {
         use defender_num::rng::{Rng, StdRng};
         let mut rng = StdRng::seed_from_u64(0xE7);
         for _ in 0..128 {
-            let c: Vec<Ratio> = (0..3)
-                .map(|_| Ratio::from(rng.gen_range(0..6) as i64))
-                .collect();
+            let c: Vec<Ratio> = (0..3).map(|_| Ratio::from(rng.gen_range(0..6))).collect();
             let a: Vec<Vec<Ratio>> = (0..3)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Ratio::from(rng.gen_range(0..5) as i64))
-                        .collect()
-                })
+                .map(|_| (0..3).map(|_| Ratio::from(rng.gen_range(0..5))).collect())
                 .collect();
-            let b: Vec<Ratio> = (0..3)
-                .map(|_| Ratio::from(rng.gen_range(1..9) as i64))
-                .collect();
+            let b: Vec<Ratio> = (0..3).map(|_| Ratio::from(rng.gen_range(1..9))).collect();
             let Ok(cold) = maximize(&c, &a, &b) else {
                 continue; // unbounded: nothing to warm-start
             };
@@ -561,19 +598,11 @@ mod tests {
         use defender_num::rng::{Rng, StdRng};
         let mut rng = StdRng::seed_from_u64(0xE1);
         for _ in 0..256 {
-            let c: Vec<Ratio> = (0..3)
-                .map(|_| Ratio::from(rng.gen_range(0..6) as i64))
-                .collect();
+            let c: Vec<Ratio> = (0..3).map(|_| Ratio::from(rng.gen_range(0..6))).collect();
             let a: Vec<Vec<Ratio>> = (0..3)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Ratio::from(rng.gen_range(0..5) as i64))
-                        .collect()
-                })
+                .map(|_| (0..3).map(|_| Ratio::from(rng.gen_range(0..5))).collect())
                 .collect();
-            let b: Vec<Ratio> = (0..3)
-                .map(|_| Ratio::from(rng.gen_range(1..9) as i64))
-                .collect();
+            let b: Vec<Ratio> = (0..3).map(|_| Ratio::from(rng.gen_range(1..9))).collect();
             match maximize(&c, &a, &b) {
                 Ok(solution) => {
                     // Primal feasibility.

@@ -60,7 +60,7 @@ pub fn solve_zero_sum_hinted(
             reason: "empty matrix".into(),
         });
     }
-    let cols = m[0].len(); // lint: allow(index) rows == 0 rejected above; m[0] exists
+    let cols = m.first().map_or(0, Vec::len);
     if cols == 0 || m.iter().any(|r| r.len() != cols) {
         return Err(LpError::ShapeMismatch {
             reason: "ragged or empty matrix".into(),
@@ -150,28 +150,22 @@ fn basis_from_supports(
 ) -> Option<Vec<usize>> {
     let mut in_row_support = vec![false; rows];
     for &i in row_support {
-        if i >= rows {
-            return None;
-        }
-        in_row_support[i] = true; // lint: allow(index) i < rows checked on the guard above
+        *in_row_support.get_mut(i)? = true;
     }
     let mut in_col_support = vec![false; cols];
     for &j in col_support {
-        if j >= cols {
-            return None;
-        }
-        in_col_support[j] = true; // lint: allow(index) j < cols checked on the guard above
+        *in_col_support.get_mut(j)? = true;
     }
-    // lint: allow(index) j < cols = in_col_support.len()
+    #[expect(clippy::indexing_slicing, reason = "j < cols = in_col_support.len()")]
     let mut basis: Vec<usize> = (0..cols).filter(|&j| in_col_support[j]).collect();
-    // lint: allow(index) i < rows = in_row_support.len()
+    #[expect(clippy::indexing_slicing, reason = "i < rows = in_row_support.len()")]
     basis.extend((0..rows).filter(|&i| !in_row_support[i]).map(|i| cols + i));
     if basis.len() > rows {
         return None; // more supported columns than tight rows: not a basis
     }
     // Degenerate case |col support| < |row support|: keep the smallest
     // supported-row slacks basic (at value zero) to square the basis.
-    // lint: allow(index) i < rows = in_row_support.len()
+    #[expect(clippy::indexing_slicing, reason = "i < rows = in_row_support.len()")]
     for i in (0..rows).filter(|&i| in_row_support[i]) {
         if basis.len() == rows {
             break;
@@ -335,7 +329,7 @@ mod tests {
             let m: Vec<Vec<Ratio>> = (0..3)
                 .map(|_| {
                     (0..3)
-                        .map(|_| Ratio::from(rng.gen_range(0..7) as i64 - 3))
+                        .map(|_| Ratio::from(rng.gen_range(0..7)) - Ratio::from(3))
                         .collect()
                 })
                 .collect();
@@ -360,7 +354,7 @@ mod tests {
             let m: Vec<Vec<Ratio>> = (0..4)
                 .map(|_| {
                     (0..4)
-                        .map(|_| Ratio::from(rng.gen_range(0..11) as i64 - 5))
+                        .map(|_| Ratio::from(rng.gen_range(0..11)) - Ratio::from(5))
                         .collect()
                 })
                 .collect();

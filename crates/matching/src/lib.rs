@@ -26,6 +26,21 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): exactness, determinism, panic, cast.
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 mod blossom;
 mod matching;

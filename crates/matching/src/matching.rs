@@ -103,9 +103,9 @@ impl Matching {
             if let Some(w) = partner[v.index()] {
                 assert_eq!(partner[w.index()], Some(v), "partner map must be symmetric");
                 if v < w {
+                    #[expect(clippy::expect_used, reason = "matched pairs are edges of the graph")]
                     let e = graph
                         .find_edge(v, w)
-                        // lint: allow(panic) matched pairs are edges of the graph
                         .expect("matched pair must be an edge of the graph");
                     edges.push(e);
                 }

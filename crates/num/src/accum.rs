@@ -84,10 +84,17 @@ impl RatioAccum {
         if g <= 1 {
             return false;
         }
-        // lint: allow(panic) g <= min(|num|,|den|) <= 2^127 only when both are i128::MIN, which den > 0 excludes
+        #[expect(
+            clippy::expect_used,
+            reason = "g <= min(|num|,|den|) <= 2^127 only when both are i128::MIN, which den > 0 excludes"
+        )]
         let g = i128::try_from(g).expect("gcd of i128 magnitudes fits i128");
-        self.num /= g; // lint: allow(arith) g = gcd with nonzero den, so g >= 1
-        self.den /= g; // lint: allow(arith) g = gcd with nonzero den, so g >= 1
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "g = gcd with nonzero den, so g >= 1"
+        )]
+        let reduced = (self.num / g, self.den / g);
+        (self.num, self.den) = reduced;
         true
     }
 
@@ -153,7 +160,10 @@ impl RatioAccum {
     #[must_use]
     pub fn finish(mut self) -> Ratio {
         self.reductions += 1;
-        // lint: allow(panic) documented # Panics overflow contract, same as the per-op Ratio path
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics overflow contract, same as the per-op Ratio path"
+        )]
         let out = make(self.num, self.den).expect("RatioAccum total fits in 64-bit components");
         flush(self.gcd_skipped, self.reductions);
         out
@@ -225,6 +235,10 @@ pub fn row_eliminate(row: &mut [Ratio], factor: Ratio, pivot: &[Ratio]) {
     let (fn_, fd) = (i128::from(factor.numer()), i128::from(factor.denom()));
     let mut gcd_skipped = 0u64;
     let mut reductions = 0u64;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics overflow contract, same as the per-op Ratio path"
+    )]
     for (value, &pv) in row.iter_mut().zip(pivot) {
         let tn = fn_ * i128::from(pv.numer());
         if tn == 0 {
@@ -245,7 +259,6 @@ pub fn row_eliminate(row: &mut [Ratio], factor: Ratio, pivot: &[Ratio]) {
         }
         // Fused general path: one gcd instead of two. `vn·td`, `tn·vd` and
         // `vd·td` all fit in i128 for i64 components.
-        // lint: allow(panic) documented # Panics overflow contract, same as the per-op Ratio path
         *value = make(vn * td - tn * vd, vd * td).expect("row update fits in 64-bit components");
         reductions += 1;
     }
@@ -261,20 +274,22 @@ pub fn row_eliminate(row: &mut [Ratio], factor: Ratio, pivot: &[Ratio]) {
 pub fn row_scale_div(row: &mut [Ratio], pivot: Ratio) {
     assert!(!pivot.is_zero(), "row normalization by zero pivot");
     if pivot == Ratio::ONE {
-        // lint: allow(cast) row length fits u64; usize to u64 lossless on 64-bit
         flush(row.len() as u64, 0);
         return;
     }
     let (pn, pd) = (i128::from(pivot.numer()), i128::from(pivot.denom()));
     let mut gcd_skipped = 0u64;
     let mut reductions = 0u64;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics overflow contract, same as the per-op Ratio path"
+    )]
     for value in row.iter_mut() {
         if value.is_zero() {
             gcd_skipped += 1;
             continue;
         }
         let (vn, vd) = (i128::from(value.numer()), i128::from(value.denom()));
-        // lint: allow(panic) documented # Panics overflow contract, same as the per-op Ratio path
         *value = make(vn * pd, vd * pn).expect("row normalization fits in 64-bit components");
         reductions += 1;
     }
@@ -333,6 +348,10 @@ mod tests {
 
     #[test]
     fn accum_handles_big_magnitudes_like_naive() {
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "constant divisor: picks a value near the overflow edge"
+        )]
         let big = Ratio::from(i64::MAX / 4);
         let mut acc = RatioAccum::new();
         acc.add(big);

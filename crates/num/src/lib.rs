@@ -20,6 +20,23 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): exactness, determinism, panic, panic2, cast.
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 mod accum;
 mod ratio;
@@ -41,7 +58,8 @@ pub use ratio::{ParseRatioError, Ratio, RatioError};
 #[must_use]
 pub fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
-        let r = a % b; // lint: allow(arith) loop guard: b != 0
+        #[expect(clippy::integer_division_remainder_used, reason = "loop guard: b != 0")]
+        let r = a % b;
         a = b;
         b = r;
     }
@@ -61,6 +79,10 @@ pub fn gcd(mut a: u128, mut b: u128) -> u128 {
 /// assert_eq!(defender_num::lcm(0, 5), 0);
 /// ```
 #[must_use]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "a, b != 0 past the early return, so their gcd is >= 1"
+)]
 pub fn lcm(a: u128, b: u128) -> u128 {
     if a == 0 || b == 0 {
         return 0;

@@ -75,9 +75,15 @@ pub(crate) fn make(num: i128, den: i128) -> Result<Ratio, RatioError> {
         return Ok(Ratio { num: 0, den: 1 });
     }
     let g = gcd(num_abs, den_abs);
-    // lint: allow(arith) g = gcd with num_abs != 0 (early return above), so g >= 1
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "g = gcd with num_abs != 0 (early return above), so g >= 1"
+    )]
     let num_red = num_abs / g;
-    // lint: allow(arith) g = gcd with num_abs != 0 (early return above), so g >= 1
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "g = gcd with num_abs != 0 (early return above), so g >= 1"
+    )]
     let den_red = den_abs / g;
     let num_i = i128::try_from(num_red).map_err(|_| RatioError::Overflow)? * sign;
     let num64 = i64::try_from(num_i).map_err(|_| RatioError::Overflow)?;
@@ -108,7 +114,10 @@ impl Ratio {
     /// ```
     #[must_use]
     pub fn new(num: i64, den: i64) -> Ratio {
-        // lint: allow(panic) documented contract; checked_new is the fallible form
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract; checked_new is the fallible form"
+        )]
         Ratio::checked_new(num, den).expect("Ratio::new: denominator must be non-zero")
     }
 
@@ -175,6 +184,10 @@ impl Ratio {
 
     /// Absolute value.
     ///
+    /// # Panics
+    ///
+    /// Panics if the numerator is `i64::MIN`, whose magnitude does not fit.
+    ///
     /// # Examples
     ///
     /// ```
@@ -184,7 +197,14 @@ impl Ratio {
     #[must_use]
     pub fn abs(self) -> Ratio {
         Ratio {
-            num: self.num.abs(),
+            #[expect(
+                clippy::expect_used,
+                reason = "documented contract: overflow aborts the run, as for the operators"
+            )]
+            num: self
+                .num
+                .checked_abs()
+                .expect("Ratio absolute value overflow"),
             den: self.den,
         }
     }
@@ -225,10 +245,9 @@ impl Ratio {
     ///
     /// Returns [`RatioError::Overflow`] if the reduced difference does not fit.
     pub fn checked_sub(self, rhs: Ratio) -> Result<Ratio, RatioError> {
-        self.checked_add(Ratio {
-            num: -rhs.num,
-            den: rhs.den,
-        })
+        let num =
+            i128::from(self.num) * i128::from(rhs.den) - i128::from(rhs.num) * i128::from(self.den);
+        make(num, i128::from(self.den) * i128::from(rhs.den))
     }
 
     /// Checked multiplication.
@@ -291,9 +310,12 @@ impl Ratio {
     /// assert_eq!(Ratio::new(1, 4).to_f64(), 0.25);
     /// ```
     #[must_use]
-    // lint: allow(exactness) reporting-only conversion, excluded from all NE logic
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "reporting-only conversion, excluded from all NE logic"
+    )]
     pub fn to_f64(self) -> f64 {
-        // lint: allow(exactness) reporting-only conversion, excluded from all NE logic
         self.num as f64 / self.den as f64
     }
 
@@ -350,7 +372,10 @@ impl From<usize> for Ratio {
     /// Panics if `value` exceeds `i64::MAX` (impossible for the graph sizes
     /// this workspace handles).
     fn from(value: usize) -> Ratio {
-        // lint: allow(panic) documented contract: counts here are graph sizes, far below i64::MAX
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: counts here are graph sizes, far below i64::MAX"
+        )]
         Ratio::from_integer(i64::try_from(value).expect("count fits in i64"))
     }
 }
@@ -358,7 +383,10 @@ impl From<usize> for Ratio {
 impl Add for Ratio {
     type Output = Ratio;
     fn add(self, rhs: Ratio) -> Ratio {
-        // lint: allow(panic) operator contract: overflow aborts the run; checked_add is the fallible form
+        #[expect(
+            clippy::expect_used,
+            reason = "operator contract: overflow aborts the run; checked_add is the fallible form"
+        )]
         self.checked_add(rhs).expect("Ratio addition overflow")
     }
 }
@@ -366,7 +394,10 @@ impl Add for Ratio {
 impl Sub for Ratio {
     type Output = Ratio;
     fn sub(self, rhs: Ratio) -> Ratio {
-        // lint: allow(panic) operator contract: overflow aborts the run; checked_sub is the fallible form
+        #[expect(
+            clippy::expect_used,
+            reason = "operator contract: overflow aborts the run; checked_sub is the fallible form"
+        )]
         self.checked_sub(rhs).expect("Ratio subtraction overflow")
     }
 }
@@ -374,8 +405,11 @@ impl Sub for Ratio {
 impl Mul for Ratio {
     type Output = Ratio;
     fn mul(self, rhs: Ratio) -> Ratio {
+        #[expect(
+            clippy::expect_used,
+            reason = "operator contract: overflow aborts the run; checked_mul is the fallible form"
+        )]
         self.checked_mul(rhs)
-            // lint: allow(panic) operator contract: overflow aborts the run; checked_mul is the fallible form
             .expect("Ratio multiplication overflow")
     }
 }
@@ -383,8 +417,11 @@ impl Mul for Ratio {
 impl Div for Ratio {
     type Output = Ratio;
     fn div(self, rhs: Ratio) -> Ratio {
+        #[expect(
+            clippy::expect_used,
+            reason = "operator contract; checked_div is the fallible form"
+        )]
         self.checked_div(rhs)
-            // lint: allow(panic) operator contract; checked_div is the fallible form
             .expect("Ratio division by zero or overflow")
     }
 }
@@ -393,7 +430,11 @@ impl Neg for Ratio {
     type Output = Ratio;
     fn neg(self) -> Ratio {
         Ratio {
-            num: -self.num,
+            #[expect(
+                clippy::expect_used,
+                reason = "operator contract: overflow aborts the run; checked_sub is the fallible form"
+            )]
+            num: self.num.checked_neg().expect("Ratio negation overflow"),
             den: self.den,
         }
     }
@@ -419,7 +460,7 @@ impl MulAssign for Ratio {
 
 impl DivAssign for Ratio {
     fn div_assign(&mut self, rhs: Ratio) {
-        // lint: allow(arith) delegates to Div; a zero divisor panics there by contract
+        // divisor nonzero: delegates to Div; a zero divisor panics there by contract
         *self = *self / rhs;
     }
 }
@@ -584,6 +625,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "shows that f64 cannot tell two close ratios apart"
+    )]
     fn ordering_is_exact() {
         assert!(Ratio::new(1, 3) < Ratio::new(1, 2));
         assert!(Ratio::new(-1, 2) < Ratio::new(-1, 3));
@@ -660,8 +706,32 @@ mod tests {
         assert_eq!(big.checked_add(big), Err(RatioError::Overflow));
         assert_eq!(big.checked_mul(big), Err(RatioError::Overflow));
         // But reducible near-overflow results still succeed:
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "constant divisor: picks a value near the overflow edge"
+        )]
         let half_big = Ratio::new(i64::MAX / 2, 1);
         assert!(half_big.checked_add(half_big).is_ok());
+    }
+
+    #[test]
+    fn checked_sub_reports_negation_overflow() {
+        let min = Ratio::from_integer(i64::MIN);
+        assert_eq!(Ratio::ZERO.checked_sub(min), Err(RatioError::Overflow));
+        assert_eq!(Ratio::ONE.checked_sub(min), Err(RatioError::Overflow));
+        assert_eq!(Ratio::from(-1).checked_sub(min), Ok(Ratio::from(i64::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio negation overflow")]
+    fn negating_i64_min_panics() {
+        let _ = -Ratio::from_integer(i64::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio absolute value overflow")]
+    fn abs_of_i64_min_panics() {
+        let _ = Ratio::from_integer(i64::MIN).abs();
     }
 
     #[test]
@@ -671,6 +741,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the reporting conversion")]
     fn conversions() {
         assert_eq!(Ratio::from(5i64), Ratio::new(5, 1));
         assert_eq!(Ratio::from(5i32), Ratio::new(5, 1));

@@ -21,6 +21,13 @@
 //! assert!((0.0..1.0).contains(&p));
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    reason = "Uniform f64 sampling for experiment drivers only."
+)]
+
 use core::ops::Range;
 
 /// A source of uniform pseudo-random 64-bit words, with derived helpers.
@@ -54,6 +61,11 @@ pub trait Rng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        clippy::cast_possible_truncation,
+        reason = "span >= 1 past the assert, and the remainder is below span, a usize length"
+    )]
     fn gen_range(&mut self, range: Range<usize>) -> usize {
         assert!(range.start < range.end, "gen_range needs a non-empty range");
         let span = (range.end - range.start) as u64;
@@ -73,7 +85,7 @@ pub trait Rng {
         if slice.is_empty() {
             None
         } else {
-            Some(&slice[self.gen_range(0..slice.len())])
+            slice.get(self.gen_range(0..slice.len()))
         }
     }
 }

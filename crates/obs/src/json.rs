@@ -330,7 +330,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     {
         *pos += 1;
     }
-    // lint: allow(panic) the scanned range matched ASCII number bytes only
+    #[expect(
+        clippy::expect_used,
+        reason = "the scanned range matched ASCII number bytes only"
+    )]
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
     text.parse::<f64>()
         .map(JsonValue::Number)

@@ -51,6 +51,16 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): determinism, panic.
+#![warn(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod json;
 pub mod trace;
@@ -353,16 +363,13 @@ pub fn bucket_bounds(i: usize) -> (f64, f64) {
     }
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-
 impl Histogram {
     #[doc(hidden)]
     #[must_use]
     pub const fn new(name: &'static str) -> Histogram {
         Histogram {
             name,
-            buckets: [ZERO; BUCKETS],
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             registered: AtomicBool::new(false),

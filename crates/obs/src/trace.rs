@@ -42,11 +42,15 @@
 //! obs::trace::clear();
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "span timing is the obs layer's purpose; durations never feed counter values"
+)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-// lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
 use std::time::Instant;
 
 use crate::json::{JsonArray, JsonObject};
@@ -66,7 +70,6 @@ pub enum EventKind {
     /// A span was exited (`"ph": "E"`).
     End,
     /// A point-in-time marker (`"ph": "i"`).
-    // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
     Instant,
 }
 
@@ -77,7 +80,6 @@ impl EventKind {
         match self {
             EventKind::Begin => "B",
             EventKind::End => "E",
-            // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
             EventKind::Instant => "i",
         }
     }
@@ -133,11 +135,8 @@ fn registry() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
 
 /// The process-wide trace epoch: fixed on first use so timestamps from
 /// every thread and every start/stop cycle share one origin.
-// lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
 fn epoch() -> Instant {
-    // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
     *EPOCH.get_or_init(Instant::now)
 }
 
@@ -289,7 +288,6 @@ pub fn elapsed_ns() -> u64 {
 /// ```
 pub fn instant(name: &'static str) {
     if enabled() {
-        // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
         record(EventKind::Instant, name);
     }
 }
@@ -449,7 +447,6 @@ pub fn chrome_trace_json() -> String {
             obj.field_f64("ts", event.ts_ns as f64 / 1_000.0);
             obj.field_u64("pid", 1);
             obj.field_u64("tid", buffer.tid);
-            // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
             if event.kind == EventKind::Instant {
                 obj.field_str("s", "t");
             }

@@ -49,6 +49,16 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): determinism, panic.
+#![warn(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -197,9 +207,12 @@ where
         debug_assert!(slots[i].is_none(), "index {i} computed twice");
         slots[i] = Some(r);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "pool invariant: par_for_indexed covers 0..n exactly once"
+    )]
     slots
         .into_iter()
-        // lint: allow(panic) pool invariant: par_for_indexed covers 0..n exactly once
         .map(|slot| slot.expect("every index computed exactly once"))
         .collect()
 }

@@ -231,7 +231,10 @@ impl Profile {
                     }
                     EventKind::End => {
                         if stack.last().is_some_and(|f| f.name == event.name) {
-                            // lint: allow(panic) guarded by the is_some_and just above
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "guarded by the is_some_and just above"
+                            )]
                             let frame = stack.pop().expect("non-empty stack");
                             let charge = replay.close(frame, event.ts_ns, &lane.label);
                             match stack.last_mut() {
@@ -242,7 +245,6 @@ impl Profile {
                             replay.unmatched += 1;
                         }
                     }
-                    // lint: allow(determinism) trace phase code, not a clock read
                     EventKind::Instant => {
                         *replay.marks.entry(event.name.clone()).or_insert(0) += 1;
                     }

@@ -91,7 +91,6 @@ impl TraceInput {
             let kind = match ph {
                 "B" => EventKind::Begin,
                 "E" => EventKind::End,
-                // lint: allow(determinism) trace phase code, not a clock read
                 "i" => EventKind::Instant,
                 _ => continue,
             };

@@ -48,6 +48,16 @@
 //! ```
 
 #![warn(missing_docs, missing_debug_implementations)]
+// Workspace invariants (DESIGN.md §12): determinism, panic.
+#![warn(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod analyze;
 mod input;

@@ -82,10 +82,12 @@ pub fn parse_solve_request(body: &[u8], max_vertices: usize) -> Result<SolveRequ
     let doc = json::parse(text)
         .map_err(|e| HttpError::bad_request("BadJson", format!("body is not valid JSON: {e}")))?;
 
+    // An integer past usize saturates; the range checks on k and nu then
+    // reject it with their typed errors.
     let uint_field = |name: &str| -> Result<usize, HttpError> {
         doc.get(name)
             .and_then(JsonValue::as_u64)
-            .map(|v| v as usize)
+            .map(|v| usize::try_from(v).unwrap_or(usize::MAX))
             .ok_or_else(|| {
                 HttpError::bad_request(
                     "BadRequest",
@@ -189,12 +191,16 @@ fn parse_edge_list(
         let (Some(u), Some(v)) = (u.as_u64(), v.as_u64()) else {
             return Err(bad(format!("edge {i} has a non-integer endpoint")));
         };
-        let (u, v) = (u as usize, v as usize);
+        // An endpoint past usize saturates, and the bound check rejects it.
+        let (u, v) = (
+            usize::try_from(u).unwrap_or(usize::MAX),
+            usize::try_from(v).unwrap_or(usize::MAX),
+        );
         if u == v {
             return Err(bad(format!("edge {i} is a self-loop ({u}, {v})")));
         }
         if u >= max_vertices || v >= max_vertices {
-            return Err(too_many_vertices(u.max(v) + 1, max_vertices));
+            return Err(too_many_vertices(u.max(v).saturating_add(1), max_vertices));
         }
         pairs.push((u, v));
     }
@@ -204,8 +210,8 @@ fn parse_edge_list(
         Some(v) => {
             let n = v
                 .as_u64()
-                .ok_or_else(|| bad("\"n\" must be a non-negative integer".to_owned()))?
-                as usize;
+                .ok_or_else(|| bad("\"n\" must be a non-negative integer".to_owned()))?;
+            let n = usize::try_from(n).unwrap_or(usize::MAX);
             if n > max_vertices {
                 return Err(too_many_vertices(n, max_vertices));
             }

@@ -13,6 +13,17 @@
 //! - [`runner`] — process orchestration, checkpoint-resume, scheduling;
 //! - [`merge`] — sidecar merging and the counters byte-identity unit.
 
+// Workspace invariants (DESIGN.md §12): determinism, panic.
+#![warn(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod merge;
 pub mod runner;
 

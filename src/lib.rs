@@ -34,6 +34,17 @@
 //! # }
 //! ```
 
+// Workspace invariants (DESIGN.md §12): determinism, panic.
+#![warn(
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub use defender_core as core;
 pub use defender_game as game;
 pub use defender_graph as graph;
