@@ -192,6 +192,22 @@ fi
 WARM_HITS="$(grep -o '"cache.hits": [0-9]*' "$CACHE_DIR/warm/BENCH_e15_value_atlas.json" | grep -o '[0-9]*$')"
 [[ "${WARM_HITS:-0}" -gt 0 ]] || { echo "warm run reported no cache hits"; exit 1; }
 
+echo "== exact LP memory bound =="
+# K10 at k = 3 has 14,190 defender tuples. The exact LP puts the ten
+# vertices on its rows, so its tableau is 10 x 14,201 and the solve fits
+# in a 256 MiB address space; one row per tuple needs gigabytes.
+K10_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$K10_DIR"' EXIT
+for u in $(seq 0 9); do
+  for v in $(seq $((u + 1)) 9); do
+    echo "$u $v"
+  done
+done > "$K10_DIR/k10.edges"
+K10_OUT="$( (ulimit -v 262144; target/release/defender value --graph "$K10_DIR/k10.edges" --k 3) 2>&1 )" \
+  || { echo "K10 at k = 3 failed under a 256 MiB address-space limit"; echo "$K10_OUT"; exit 1; }
+grep -q '3/5' <<< "$K10_OUT" \
+  || { echo "K10 at k = 3 did not report the value 3/5"; echo "$K10_OUT"; exit 1; }
+
 echo "== serve gate =="
 # Cold-then-warm load against one server cache directory (DESIGN.md §16).
 # The loadgen asserts the warmth contract itself (--expect cold: one
@@ -202,7 +218,7 @@ echo "== serve gate =="
 # served class set, never of warmth or arrival order.
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
-trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$SERVE_DIR"' EXIT
+trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$K10_DIR" "$SERVE_DIR"' EXIT
 mkdir "$SERVE_DIR/cold" "$SERVE_DIR/warm"
 
 serve_start() { # serve_start <logfile> <extra flags...>

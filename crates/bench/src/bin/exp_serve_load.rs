@@ -565,10 +565,9 @@ fn run_overload(options: &Options) -> Result<(), String> {
                     }
                 };
                 for j in 0..per_client {
-                    // Paths P30..P41 at k = 2 take tens to hundreds of
-                    // milliseconds each, so the clients' concurrent
-                    // misses keep more classes solving than the
-                    // watermark allows.
+                    // Paths P30..P41 at k = 2 take about 10 to 35 ms
+                    // each, so the clients' concurrent misses keep more
+                    // classes solving than the watermark allows.
                     let n = 30 + (j * options.clients + worker) % 12;
                     let body = format!(
                         r#"{{"graph6": "{}", "k": 2, "nu": 1}}"#,

@@ -12,8 +12,15 @@
 //! attacker mixture) is a Nash equilibrium of `Π_k(G)` for **every** `ν`,
 //! with defender gain `ν · value`.
 //!
-//! The matrix has `C(m, k)` columns, so this is for small instances —
-//! exactly the regime the constructive algorithms do *not* cover.
+//! The LP is handed the transposed game `−Mᵀ`: the attacker's `n`
+//! vertices are the maximizing rows and the defender's `C(m, k)` tuples
+//! are the columns. The packing LP has one constraint per row, so its
+//! tableau is `n × (C(m, k) + n + 1)` — linear in the tuple count, where
+//! tuple rows would make it quadratic. The transposed game's value is
+//! minus the catch probability, and its column and row strategies are
+//! the optimal defender and attacker mixtures. The tuple count still
+//! grows as `C(m, k)`, so this is for small instances — exactly the
+//! regime the constructive algorithms do *not* cover.
 
 use defender_game::MixedStrategy;
 use defender_graph::VertexId;
@@ -56,11 +63,13 @@ pub fn solve_exact(
 /// The hint is a pair `(tuple_support, vertex_support)` of index sets —
 /// typically the supports of a known equilibrium of an isomorphic
 /// instance. Tuple indices refer to the enumeration order of
-/// [`all_tuples`]; vertex indices are graph vertex indices. A good hint
-/// lets the LP start from the optimal basis and finish without a single
-/// simplex pivot; a bad or stale hint is rejected inside the LP layer
-/// and the solve falls back to the cold path, so correctness never
-/// depends on the hint.
+/// [`all_tuples`]; vertex indices are graph vertex indices. The LP's rows
+/// are vertices and its columns tuples, so the pair reaches
+/// [`solve_zero_sum_hinted`] swapped, as `(vertex_support,
+/// tuple_support)`. A good hint lets the LP start from the optimal basis
+/// and finish without a single simplex pivot; a bad or stale hint is
+/// rejected inside the LP layer and the solve falls back to the cold
+/// path, so correctness never depends on the hint.
 ///
 /// # Errors
 ///
@@ -72,34 +81,38 @@ pub fn solve_exact_hinted(
 ) -> Result<ExactEquilibrium, CoreError> {
     let graph = game.graph();
     let tuples = all_tuples(graph, game.k(), tuple_limit)?;
-    // Rows: defender tuples (maximizer). Columns: attacker vertices.
-    let matrix: Vec<Vec<Ratio>> = tuples
-        .iter()
-        .map(|t| {
-            let mut row = vec![Ratio::ZERO; graph.vertex_count()];
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "row is sized by vertex_count; VertexId::index is in range"
-            )]
-            for v in t.vertices(graph) {
-                row[v.index()] = Ratio::ONE;
-            }
-            row
+    // −Mᵀ. Rows: attacker vertices (maximizer), −1 where a tuple covers
+    // the vertex. Columns: defender tuples.
+    let matrix: Vec<Vec<Ratio>> = graph
+        .vertices()
+        .map(|v| {
+            tuples
+                .iter()
+                .map(|t| {
+                    if t.covers(graph, v) {
+                        -Ratio::ONE
+                    } else {
+                        Ratio::ZERO
+                    }
+                })
+                .collect()
         })
         .collect();
+    let hint = hint.map(|(tuple_support, vertex_support)| (vertex_support, tuple_support));
     let solution = solve_zero_sum_hinted(&matrix, hint).map_err(|e| CoreError::TooLarge {
         what: format!("zero-sum LP ({e})"),
         limit: tuple_limit,
     })?;
+    let value = -solution.value;
 
     let defender_entries: Vec<(Tuple, Ratio)> = tuples
         .into_iter()
-        .zip(solution.row_strategy.iter().copied())
+        .zip(solution.col_strategy.iter().copied())
         .filter(|(_, p)| !p.is_zero())
         .collect();
     let attacker_entries: Vec<(VertexId, Ratio)> = graph
         .vertices()
-        .zip(solution.col_strategy.iter().copied())
+        .zip(solution.row_strategy.iter().copied())
         .filter(|(_, p)| !p.is_zero())
         .collect();
     #[expect(
@@ -115,9 +128,9 @@ pub fn solve_exact_hinted(
     let attacker =
         MixedStrategy::from_entries(attacker_entries).expect("LP strategies are distributions");
     let config = MixedConfig::symmetric(game, attacker, defender)?;
-    let defender_gain = solution.value * Ratio::from(game.attacker_count());
+    let defender_gain = value * Ratio::from(game.attacker_count());
     Ok(ExactEquilibrium {
-        value: solution.value,
+        value,
         config,
         defender_gain,
     })
@@ -162,9 +175,117 @@ mod tests {
     use crate::covering_ne::covering_ne;
     use crate::exhaustive::GameAdapter;
     use crate::payoff;
-    use defender_graph::{generators, GraphBuilder};
+    use defender_graph::{generators, Graph, GraphBuilder};
+    use defender_num::rng::{Rng, StdRng};
 
     const LIMIT: usize = 100_000;
+
+    /// A triangle with a pendant path: no perfect matching (n odd) and not
+    /// bipartite, so neither construction applies.
+    fn tadpole() -> Graph {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1).add_edge(1, 2).add_edge(0, 2); // triangle
+        b.add_edge(2, 3).add_edge(3, 4); // tail
+        b.build()
+    }
+
+    /// A connected graph on `n` vertices: a random spanning tree, plus
+    /// each other pair with probability `percent` / 100.
+    fn random_connected(n: usize, percent: usize, rng: &mut StdRng) -> Graph {
+        let tree = generators::random_tree(n, rng);
+        let mut b = GraphBuilder::new(n);
+        for e in tree.edges() {
+            let ends = tree.endpoints(e);
+            b.add_edge(ends.u().index(), ends.v().index());
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                if !b.has_edge(i, j) && rng.gen_range(0..100) < percent {
+                    b.add_edge(i, j);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn vertex_row_lp_agrees_with_the_tuple_row_game() {
+        // Classes up to 300 tuples keep the tuple-row reference cheap.
+        const MAX_TUPLES: usize = 300;
+        let mut rng = StdRng::seed_from_u64(0x22);
+        let mut graphs: Vec<Graph> = (0..16)
+            .map(|_| {
+                let n = rng.gen_range(5..9);
+                let percent = rng.gen_range(10..60);
+                random_connected(n, percent, &mut rng)
+            })
+            .collect();
+        graphs.extend([
+            generators::cycle(5),
+            tadpole(),
+            generators::complete(4),
+            generators::petersen(),
+        ]);
+        let mut classes = 0;
+        for graph in &graphs {
+            for k in 1..=3usize {
+                let Ok(tuples) = all_tuples(graph, k, MAX_TUPLES) else {
+                    continue;
+                };
+                let game = TupleGame::new(graph, k, 1).unwrap();
+                let exact = solve_exact(&game, LIMIT).unwrap();
+                // The defender on the rows: M[t][v] = 1 iff t covers v.
+                let matrix: Vec<Vec<Ratio>> = tuples
+                    .iter()
+                    .map(|t| {
+                        graph
+                            .vertices()
+                            .map(|v| Ratio::from(i64::from(t.covers(graph, v))))
+                            .collect()
+                    })
+                    .collect();
+                let reference = defender_lp::solve_zero_sum(&matrix).unwrap();
+                assert_eq!(exact.value, reference.value, "{graph:?}, k = {k}");
+                let truth = GameAdapter::new(&game, LIMIT)
+                    .unwrap()
+                    .verify(&exact.config);
+                assert!(
+                    truth.is_equilibrium(),
+                    "{graph:?}, k = {k}: deviations {:?}",
+                    truth.deviations
+                );
+                classes += 1;
+            }
+        }
+        assert!(classes >= 40, "the corpus kept only {classes} classes");
+    }
+
+    #[test]
+    fn sparse_hints_warm_start_without_a_pivot() {
+        for graph in [
+            generators::cycle(5),
+            generators::path(6),
+            generators::star(5),
+            generators::complete_bipartite(2, 3),
+            generators::cycle(6),
+        ] {
+            let game = TupleGame::new(&graph, 1, 1).unwrap();
+            let (warm, deltas) = defender_obs::captured(|| {
+                let (tuples, vertices) = support_hint(&game).expect("a sparse k = 1 game");
+                solve_exact_hinted(&game, LIMIT, Some((&tuples, &vertices))).unwrap()
+            });
+            let delta = |name: &str| {
+                deltas
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or(0, |&(_, d)| d)
+            };
+            assert_eq!(delta("lp.warm.attempts"), 1, "{graph:?}");
+            assert_eq!(delta("lp.warm.rejected"), 0, "{graph:?}");
+            assert_eq!(delta("lp.simplex.warm_pivots"), 0, "{graph:?}");
+            assert_eq!(warm.value, solve_exact(&game, LIMIT).unwrap().value);
+        }
+    }
 
     #[test]
     fn value_matches_k_matching_on_bipartite() {
@@ -221,13 +342,9 @@ mod tests {
             );
         }
 
-        // A "tadpole": triangle with a pendant path — no perfect matching
-        // (n odd), not bipartite. Neither construction applies; the LP
-        // still delivers, and first principles certify it.
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1).add_edge(1, 2).add_edge(0, 2); // triangle
-        b.add_edge(2, 3).add_edge(3, 4); // tail
-        let tadpole = b.build();
+        // The tadpole: neither construction applies; the LP still
+        // delivers, and first principles certify it.
+        let tadpole = tadpole();
         let game = TupleGame::new(&tadpole, 1, 1).unwrap();
         let exact = solve_exact(&game, LIMIT).unwrap();
         let adapter = GameAdapter::new(&game, LIMIT).unwrap();

@@ -13,6 +13,12 @@
 //! tableaus, and exact rationals make the optimum — and the dual prices —
 //! bit-for-bit reproducible.
 //!
+//! The tableau is dense, `constraints × (variables + constraints + 1)`.
+//! The exact solve of `Π_k(G)` (`defender_core::solve`) makes the
+//! attacker's `n` vertices the constraints and the defender's `C(m, k)`
+//! tuples the variables, so its tableau is `n × (C(m, k) + n + 1)`,
+//! linear in the tuple count.
+//!
 //! Two entry points share the core loop: [`maximize`] starts from the
 //! all-slack basis, and [`solve_with_basis`] *warm-starts* from a
 //! caller-supplied basis (typically read off an equilibrium support via

@@ -21,7 +21,9 @@ pub struct ZeroSumSolution {
 /// The reduction: shift `M` to `M' = M + σ > 0`, then the packing LP
 /// `max Σ w_j  s.t.  M' w ≤ 1, w ≥ 0` has optimum `1/v'` where
 /// `v' = value(M')`; the column strategy is `w·v'` and the row strategy
-/// comes out of the duals. Everything is exact.
+/// comes out of the duals. Everything is exact. The LP has one constraint
+/// per row of `m` and a dense `rows × (cols + rows + 1)` tableau, so the
+/// player with fewer strategies belongs on the rows.
 ///
 /// # Errors
 ///
