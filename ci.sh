@@ -215,7 +215,9 @@ echo "== serve gate =="
 # zero cache.misses delta, zero lp.simplex.pivots delta — a warm server
 # does no solver work), and the two sidecars' judged `counters` objects
 # must be byte-identical: the judged view is a pure function of the
-# served class set, never of warmth or arrival order.
+# served class set, never of warmth or arrival order. The warm server
+# loads the sidecar the cold one wrote and rewrites it at shutdown, so the
+# two files must be byte-identical too.
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
 trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$K10_DIR" "$SERVE_DIR"' EXIT
@@ -237,11 +239,13 @@ serve_start "$SERVE_DIR/cold.log" --cache "$SERVE_DIR/memo"
 (cd "$SERVE_DIR/cold" && "$OLDPWD"/target/release/exp_serve_load \
   --addr "$SERVE_ADDR" --expect cold --shutdown > /dev/null)
 wait "$SERVE_PID"
+cp "$SERVE_DIR/memo/equilibria.json" "$SERVE_DIR/cold.sidecar"
 
 serve_start "$SERVE_DIR/warm.log" --cache "$SERVE_DIR/memo"
 (cd "$SERVE_DIR/warm" && "$OLDPWD"/target/release/exp_serve_load \
   --addr "$SERVE_ADDR" --expect warm --shutdown > /dev/null)
 wait "$SERVE_PID"
+cmp "$SERVE_DIR/cold.sidecar" "$SERVE_DIR/memo/equilibria.json"
 
 for r in cold warm; do
   grep -o '"counters": {[^}]*}' "$SERVE_DIR/$r/BENCH_serve.json" > "$SERVE_DIR/$r.counters"

@@ -49,7 +49,9 @@
 //! game (in a discarded counting scope, so verification never perturbs
 //! counters). A stale or hand-edited entry that fails verification is
 //! recomputed and overwritten — the cache can serve a wrong answer to no
-//! one.
+//! one. An entry whose shape does not fit the format — a missing field,
+//! an edge that is not a pair, a tuple whose edge count is not `k` —
+//! fails [`EquilibriumCache::open`] instead.
 //!
 //! # Examples
 //!
@@ -89,7 +91,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -106,7 +108,7 @@ use defender_graph::graph6::from_graph6;
 use defender_graph::{Graph, VertexId};
 use defender_num::Ratio;
 use defender_obs as obs;
-use defender_obs::json::{self, JsonArray, JsonObject, JsonValue};
+use defender_obs::json::{self, Escaped, JsonValue};
 
 /// Name of the sidecar file inside a `--cache <DIR>` directory.
 pub const SIDECAR_FILE: &str = "equilibria.json";
@@ -117,21 +119,67 @@ pub const SIDECAR_FORMAT: &str = "defender-cache/v1";
 /// Memo key: `(canonical graph6, k, ν)`.
 pub type CacheKey = (String, usize, usize);
 
-/// One memoized equilibrium, in canonical vertex labels.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One memoized equilibrium, in canonical vertex labels. Every list is a
+/// boxed slice, so an entry costs four heap blocks however large its
+/// support.
+#[derive(Clone, Debug)]
 struct CacheEntry {
     /// Single-attacker game value (iso-invariant).
     value: Ratio,
     /// Attacker support as `(canonical vertex, probability)`.
-    attacker: Vec<(usize, Ratio)>,
-    /// Defender support: each tuple as its canonical edge endpoint pairs.
-    defender: Vec<(Vec<(usize, usize)>, Ratio)>,
-    /// Counter deltas of the canonical solve, replayed on every lookup.
-    counters: Vec<(String, u64)>,
+    attacker: Box<[(usize, Ratio)]>,
+    /// Defender support probabilities, one per tuple.
+    tuple_p: Box<[Ratio]>,
+    /// The support's tuples flattened: `k` canonical edge endpoint pairs
+    /// per tuple, in `tuple_p` order (`k ≥ 1` comes from the key). A key
+    /// is graph6, which stops at 258,047 vertices, so indices fit `u32`.
+    tuple_edges: Box<[(u32, u32)]>,
+    /// Counter deltas of the canonical solve, replayed on every lookup,
+    /// as handles resolved once through [`obs::counter_by_name`].
+    counters: Box<[(&'static obs::Metric, u64)]>,
     /// Whether this entry has passed exact NE verification in-process.
     /// Entries born from a solve are trusted; entries loaded from disk
     /// start `false` and are verified lazily on first use.
     verified: bool,
+}
+
+impl CacheEntry {
+    /// The defender support as `(k canonical edge pairs, probability)`.
+    fn tuples(&self, k: usize) -> impl Iterator<Item = (&[(u32, u32)], &Ratio)> {
+        self.tuple_edges.chunks_exact(k).zip(self.tuple_p.iter())
+    }
+}
+
+/// Counter handles compare by identity: one name resolves to one cell.
+impl PartialEq for CacheEntry {
+    fn eq(&self, other: &CacheEntry) -> bool {
+        self.value == other.value
+            && self.attacker == other.attacker
+            && self.tuple_p == other.tuple_p
+            && self.tuple_edges == other.tuple_edges
+            && self.counters.len() == other.counters.len()
+            && self
+                .counters
+                .iter()
+                .zip(other.counters.iter())
+                .all(|(a, b)| std::ptr::eq(a.0, b.0) && a.1 == b.1)
+            && self.verified == other.verified
+    }
+}
+
+/// Resolves a counting scope's `(name, delta)` pairs to counter handles.
+fn resolve(deltas: &[(String, u64)]) -> Box<[(&'static obs::Metric, u64)]> {
+    deltas
+        .iter()
+        .map(|(name, delta)| (obs::counter_by_name(name), *delta))
+        .collect()
+}
+
+/// Adds stored deltas to their counters: the replay half of a scope.
+fn replay(counters: &[(&'static obs::Metric, u64)]) {
+    for &(metric, delta) in counters {
+        metric.add(delta);
+    }
 }
 
 /// Equilibrium memo store with optional JSON-sidecar persistence.
@@ -212,7 +260,11 @@ impl EquilibriumCache {
     ///
     /// The write is deterministic: entries are emitted in key order, so
     /// persisting the same logical state twice yields byte-identical
-    /// files.
+    /// files. The JSON is streamed field by field through a buffered
+    /// file, so a flush costs one small buffer rather than a copy of the
+    /// document, and the store stays locked until the file has replaced
+    /// the old sidecar: concurrent flushes and stores never interleave
+    /// with a write.
     ///
     /// # Errors
     ///
@@ -221,9 +273,12 @@ impl EquilibriumCache {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
-        let text = render_sidecar(&self.guard());
+        let store = self.guard();
         let tmp = dir.join(format!("{SIDECAR_FILE}.tmp"));
-        fs::write(&tmp, &text)?;
+        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+        write_sidecar(&mut out, &store)?;
+        out.flush()?;
+        drop(out);
         fs::rename(&tmp, dir.join(SIDECAR_FILE))?;
         // Cleared only after the rename lands: a failed write leaves the
         // store dirty, so the next flush retries rather than losing data.
@@ -307,7 +362,7 @@ impl EquilibriumCache {
         if let Some(entry) = self.usable_entry(&key, tuple_limit) {
             if let Some(eq) = materialize(&entry, game, &form.inverse()) {
                 obs::counter!("cache.hits").incr();
-                obs::replay_counters(&entry.counters);
+                replay(&entry.counters);
                 return Ok(eq);
             }
             // Fall through: stale, hand-edited, or otherwise corrupt —
@@ -328,13 +383,14 @@ impl EquilibriumCache {
                 .as_ref()
                 .map(|(rows, cols)| (rows.as_slice(), cols.as_slice()));
             let eq = solve_exact_hinted(&canonical_game, tuple_limit, hint_refs)?;
-            Ok::<CacheEntry, CoreError>(entry_of(&eq, &canonical_graph))
+            entry_of(&eq, &canonical_graph)
         });
         // Replay even when the solve errored, so partial work is
         // accounted identically on every run.
-        obs::replay_counters(&deltas);
+        let counters = resolve(&deltas);
+        replay(&counters);
         let mut entry = solved?;
-        entry.counters = deltas;
+        entry.counters = counters;
         self.guard().insert(key, entry.clone());
         self.dirty.store(true, Ordering::Release);
         materialize(&entry, game, &form.inverse()).ok_or_else(|| CoreError::TooLarge {
@@ -401,15 +457,17 @@ impl EquilibriumCache {
         I: IntoIterator<Item = &'a CacheKey>,
     {
         let store = self.guard();
-        let mut sums: BTreeMap<String, u64> = BTreeMap::new();
+        let mut sums: BTreeMap<&'static str, u64> = BTreeMap::new();
         for key in keys {
             if let Some(entry) = store.get(key) {
-                for (name, delta) in &entry.counters {
-                    *sums.entry(name.clone()).or_insert(0) += delta;
+                for (metric, delta) in &entry.counters {
+                    *sums.entry(metric.name()).or_insert(0) += delta;
                 }
             }
         }
-        sums.into_iter().collect()
+        sums.into_iter()
+            .map(|(name, sum)| (name.to_owned(), sum))
+            .collect()
     }
 
     /// Looks up `key` and returns a clone of its entry if it is trusted
@@ -439,36 +497,37 @@ impl EquilibriumCache {
 }
 
 /// Extracts a canonical-label entry from a freshly solved equilibrium.
-fn entry_of(eq: &ExactEquilibrium, canonical_graph: &Graph) -> CacheEntry {
+fn entry_of(eq: &ExactEquilibrium, canonical_graph: &Graph) -> Result<CacheEntry, CoreError> {
     let attacker = eq
         .config
         .attacker(0)
         .iter()
         .map(|(v, p)| (v.index(), p))
         .collect();
-    let defender = eq
-        .config
-        .defender()
-        .iter()
-        .map(|(t, p)| {
-            let edges = t
-                .edges()
-                .iter()
-                .map(|&e| {
-                    let ends = canonical_graph.endpoints(e);
-                    (ends.u().index(), ends.v().index())
-                })
-                .collect();
-            (edges, p)
+    let defender = eq.config.defender();
+    let tuple_p = defender.iter().map(|(_, p)| p).collect();
+    let narrow = |v: VertexId| {
+        u32::try_from(v.index()).map_err(|_| CoreError::TooLarge {
+            what: "canonical vertex indices".to_owned(),
+            limit: usize::try_from(u32::MAX).unwrap_or(usize::MAX),
         })
-        .collect();
-    CacheEntry {
+    };
+    let tuple_edges = defender
+        .iter()
+        .flat_map(|(t, _)| t.edges().iter())
+        .map(|&e| {
+            let ends = canonical_graph.endpoints(e);
+            Ok((narrow(ends.u())?, narrow(ends.v())?))
+        })
+        .collect::<Result<_, CoreError>>()?;
+    Ok(CacheEntry {
         value: eq.value,
         attacker,
-        defender,
-        counters: Vec::new(),
+        tuple_p,
+        tuple_edges,
+        counters: Box::default(),
         verified: true,
-    }
+    })
 }
 
 /// Relabels a canonical entry onto `game`'s graph through `inverse`
@@ -482,6 +541,7 @@ fn materialize(
     let graph = game.graph();
     let original_vertex =
         |canon: usize| -> Option<VertexId> { inverse.get(canon).copied().map(VertexId::new) };
+    let original_end = |canon: u32| original_vertex(usize::try_from(canon).ok()?);
 
     let attacker_entries: Vec<(VertexId, Ratio)> = entry
         .attacker
@@ -489,12 +549,11 @@ fn materialize(
         .map(|&(cv, p)| Some((original_vertex(cv)?, p)))
         .collect::<Option<_>>()?;
     let defender_entries: Vec<(Tuple, Ratio)> = entry
-        .defender
-        .iter()
+        .tuples(game.k())
         .map(|(canon_edges, p)| {
             let ids = canon_edges
                 .iter()
-                .map(|&(cu, cv)| graph.find_edge(original_vertex(cu)?, original_vertex(cv)?))
+                .map(|&(cu, cv)| graph.find_edge(original_end(cu)?, original_end(cv)?))
                 .collect::<Option<Vec<_>>>()?;
             Some((Tuple::new(ids).ok()?, *p))
         })
@@ -539,53 +598,46 @@ fn verify_entry(entry: &CacheEntry, key: &CacheKey, tuple_limit: usize) -> bool 
 // Sidecar format
 // ---------------------------------------------------------------------------
 
-fn render_sidecar(store: &BTreeMap<CacheKey, CacheEntry>) -> String {
-    let mut entries = JsonArray::new();
-    for ((graph6, k, nu), entry) in store {
-        let mut attacker = JsonArray::new();
-        for (v, p) in &entry.attacker {
-            let mut item = JsonObject::new();
-            item.field_u64("vertex", *v as u64);
-            item.field_str("p", &p.to_string());
-            attacker.push_raw(&item.finish());
+/// Streams the sidecar document for `store` into `out`. Ratios print as
+/// `-?digits(/digits)?`, so they are written as JSON strings unescaped.
+fn write_sidecar(out: &mut impl Write, store: &BTreeMap<CacheKey, CacheEntry>) -> io::Result<()> {
+    let sep = |i: usize| if i == 0 { "" } else { ", " };
+    write!(
+        out,
+        "{{\"format\": \"{}\", \"entries\": [",
+        Escaped(SIDECAR_FORMAT)
+    )?;
+    for (i, ((graph6, k, nu), entry)) in store.iter().enumerate() {
+        write!(
+            out,
+            "{}{{\"graph6\": \"{}\", \"k\": {k}, \"nu\": {nu}, \"value\": \"{}\", \"attacker\": [",
+            sep(i),
+            Escaped(graph6),
+            entry.value
+        )?;
+        for (j, (v, p)) in entry.attacker.iter().enumerate() {
+            write!(out, "{}{{\"vertex\": {v}, \"p\": \"{p}\"}}", sep(j))?;
         }
-        let mut defender = JsonArray::new();
-        for (edges, p) in &entry.defender {
-            let mut pairs = JsonArray::new();
-            for &(u, v) in edges {
-                let mut pair = JsonArray::new();
-                pair.push_u64(u as u64);
-                pair.push_u64(v as u64);
-                pairs.push_raw(&pair.finish());
+        out.write_all(b"], \"defender\": [")?;
+        for (j, (edges, p)) in entry.tuples(*k).enumerate() {
+            write!(out, "{}{{\"edges\": [", sep(j))?;
+            for (e, (u, v)) in edges.iter().enumerate() {
+                write!(out, "{}[{u}, {v}]", sep(e))?;
             }
-            let mut item = JsonObject::new();
-            item.field_raw("edges", &pairs.finish());
-            item.field_str("p", &p.to_string());
-            defender.push_raw(&item.finish());
+            write!(out, "], \"p\": \"{p}\"}}")?;
         }
-        let mut counters = JsonArray::new();
-        for (name, delta) in &entry.counters {
-            let mut item = JsonObject::new();
-            item.field_str("name", name);
-            item.field_u64("delta", *delta);
-            counters.push_raw(&item.finish());
+        out.write_all(b"], \"counters\": [")?;
+        for (j, (metric, delta)) in entry.counters.iter().enumerate() {
+            write!(
+                out,
+                "{}{{\"name\": \"{}\", \"delta\": {delta}}}",
+                sep(j),
+                Escaped(metric.name())
+            )?;
         }
-        let mut obj = JsonObject::new();
-        obj.field_str("graph6", graph6);
-        obj.field_u64("k", *k as u64);
-        obj.field_u64("nu", *nu as u64);
-        obj.field_str("value", &entry.value.to_string());
-        obj.field_raw("attacker", &attacker.finish());
-        obj.field_raw("defender", &defender.finish());
-        obj.field_raw("counters", &counters.finish());
-        entries.push_raw(&obj.finish());
+        out.write_all(b"]}")?;
     }
-    let mut doc = JsonObject::new();
-    doc.field_str("format", SIDECAR_FORMAT);
-    doc.field_raw("entries", &entries.finish());
-    let mut text = doc.finish();
-    text.push('\n');
-    text
+    out.write_all(b"]}\n")
 }
 
 fn parse_sidecar(text: &str) -> Result<BTreeMap<CacheKey, CacheEntry>, String> {
@@ -612,8 +664,8 @@ fn parse_sidecar(text: &str) -> Result<BTreeMap<CacheKey, CacheEntry>, String> {
 }
 
 /// Converts a sidecar integer to an index, refusing one that does not fit.
-fn to_index(v: u64) -> Result<usize, String> {
-    usize::try_from(v).map_err(|_| format!("integer {v} does not fit an index"))
+fn to_index<T: TryFrom<u64>>(v: u64) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("integer {v} does not fit an index"))
 }
 
 fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
@@ -655,33 +707,44 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
         attacker.push((v, p));
     }
 
-    let mut defender = Vec::new();
+    // The flattened layout reads a tuple as the next k edges (and needs
+    // k ≥ 1 to do so), so a tuple of any other width cannot be stored: it
+    // is malformed, like an edge that is not a pair, and fails the open.
+    if k == 0 {
+        return Err("k must be at least 1".to_owned());
+    }
+    let mut tuple_p = Vec::new();
+    let mut tuple_edges = Vec::new();
     for d in item
         .get("defender")
         .and_then(JsonValue::as_array)
         .ok_or("missing defender array")?
     {
-        let mut edges = Vec::new();
-        for pair in d
+        let edges = d
             .get("edges")
             .and_then(JsonValue::as_array)
-            .ok_or("defender item missing edges")?
-        {
+            .ok_or("defender item missing edges")?;
+        if edges.len() != k {
+            return Err(format!(
+                "a defender tuple has {} edges, not k = {k}",
+                edges.len()
+            ));
+        }
+        for pair in edges {
             let ends = pair.as_array().ok_or("edge is not a pair")?;
             let [u, v] = ends else {
                 return Err("edge is not a pair".to_owned());
             };
-            edges.push((
+            tuple_edges.push((
                 to_index(u.as_u64().ok_or("edge endpoint is not an integer")?)?,
                 to_index(v.as_u64().ok_or("edge endpoint is not an integer")?)?,
             ));
         }
-        let p = ratio(
+        tuple_p.push(ratio(
             d.get("p")
                 .and_then(JsonValue::as_str)
                 .ok_or("defender item missing p")?,
-        )?;
-        defender.push((edges, p));
+        )?);
     }
 
     let mut counters = Vec::new();
@@ -691,10 +754,11 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
         .ok_or("missing counters array")?
     {
         counters.push((
-            c.get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("counter item missing name")?
-                .to_owned(),
+            obs::counter_by_name(
+                c.get("name")
+                    .and_then(JsonValue::as_str)
+                    .ok_or("counter item missing name")?,
+            ),
             c.get("delta")
                 .and_then(JsonValue::as_u64)
                 .ok_or("counter item missing delta")?,
@@ -705,9 +769,10 @@ fn parse_entry(item: &JsonValue) -> Result<(CacheKey, CacheEntry), String> {
         (graph6, k, nu),
         CacheEntry {
             value,
-            attacker,
-            defender,
-            counters,
+            attacker: attacker.into(),
+            tuple_p: tuple_p.into(),
+            tuple_edges: tuple_edges.into(),
+            counters: counters.into(),
             // Disk contents are untrusted until re-proved in-process.
             verified: false,
         },
@@ -960,13 +1025,17 @@ mod tests {
             std::env::temp_dir().join(format!("defender-cache-malformed-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SIDECAR_FILE),
+        for text in [
             "{\"format\": \"bogus/v9\", \"entries\": []}",
-        )
-        .unwrap();
-        let err = EquilibriumCache::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            // k = 0 admits only empty tuples, which no game has.
+            "{\"format\": \"defender-cache/v1\", \"entries\": [{\"graph6\": \"Dbg\", \
+             \"k\": 0, \"nu\": 1, \"value\": \"0\", \"attacker\": [], \
+             \"defender\": [{\"edges\": [], \"p\": \"1\"}], \"counters\": []}]}",
+        ] {
+            fs::write(dir.join(SIDECAR_FILE), text).unwrap();
+            let err = EquilibriumCache::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

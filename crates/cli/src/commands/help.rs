@@ -238,7 +238,9 @@ THE SIDECAR:
   Rationals are exact \"p/q\" strings; reloading round-trips them
   bit-for-bit. Entries loaded from disk are UNTRUSTED: on first use
   each is re-proved by the exact Nash verifier on its canonical game;
-  a stale or hand-edited entry is recomputed, never served.
+  a stale or hand-edited entry is recomputed, never served. A sidecar
+  whose shape is off (a missing field, a tuple with other than K edges)
+  fails to load.
 
 TELEMETRY:
   Counter determinism survives caching by delta replay: the canonical

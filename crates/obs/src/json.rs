@@ -19,25 +19,37 @@
 //! assert_eq!(obj.finish(), r#"{"name": "e5", "pivots": 42}"#);
 //! ```
 
+use std::fmt::{self, Write as _};
+
 /// Escapes `s` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = write!(out, "{}", Escaped(s)); // writing to a String cannot fail
     out
+}
+
+/// Displays a string escaped as [`escape`] does, so a writer that streams
+/// JSON can escape a field without building a `String` for it.
+#[derive(Clone, Copy, Debug)]
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Renders an `f64` as JSON: finite values as decimals, non-finite as

@@ -317,6 +317,12 @@ impl Metric {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
+
+    /// The name this cell was declared or resolved under.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 }
 
 /// Creates a counter whose name is only known at runtime (e.g. one cell

@@ -43,6 +43,7 @@ impl Client {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             stream,
             buf: Vec::new(),
@@ -52,17 +53,22 @@ impl Client {
     /// Sends one request and reads one response on the persistent
     /// connection.
     ///
+    /// The request's head and body leave in a single write on a
+    /// `TCP_NODELAY` socket, so no part of it waits for the server's
+    /// delayed ACK (about 40 ms per request under Nagle's algorithm).
+    ///
     /// # Errors
     ///
     /// I/O failures and unframeable responses ([`io::ErrorKind::InvalidData`]).
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nhost: defender\r\n");
+        let mut wire = Vec::with_capacity(96 + body.len());
+        write!(wire, "{method} {path} HTTP/1.1\r\nhost: defender\r\n")?;
         if !body.is_empty() || method == "POST" {
-            head.push_str(&format!("content-length: {}\r\n", body.len()));
+            write!(wire, "content-length: {}\r\n", body.len())?;
         }
-        head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(body);
+        self.stream.write_all(&wire)?;
         self.stream.flush()?;
         self.read_response()
     }

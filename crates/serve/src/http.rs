@@ -89,11 +89,16 @@ impl RequestReader {
     /// Reads one complete request from `stream`, however the bytes are
     /// segmented, retaining any pipelined surplus for the next call.
     pub fn next_request(&mut self, stream: &mut impl Read) -> ReadOutcome {
-        // Phase 1: accumulate the head (request line + headers).
+        // Phase 1: accumulate the head (request line + headers). Each scan
+        // resumes where the last one left off, less the three bytes a
+        // terminator split across reads may have started in, so a head
+        // that trickles in one byte per read costs linear time.
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(end) = find_head_end(&self.buf) {
+            if let Some(end) = find_head_end(&self.buf, scanned) {
                 break end;
             }
+            scanned = self.buf.len().saturating_sub(3);
             if self.buf.len() > MAX_HEAD_BYTES {
                 return ReadOutcome::Error(HttpError {
                     status: 431,
@@ -180,8 +185,10 @@ struct ParsedHead {
     headers: Vec<(String, String)>,
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// The offset of the first `\r\n\r\n` that starts at or after `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let start = buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + start)
 }
 
 fn fill(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<usize> {
@@ -301,6 +308,10 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes one `application/json` response. `retry_after` becomes a
 /// `Retry-After: <seconds>` header (admission control's backoff hint).
+///
+/// The head and the body leave in a single `write` call. Written apart,
+/// the body would be a second small segment that Nagle's algorithm holds
+/// until the peer's delayed ACK for the head, about 40 ms later.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -308,20 +319,22 @@ pub fn write_response(
     keep_alive: bool,
     retry_after: Option<u64>,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut wire = Vec::with_capacity(128 + body.len());
+    write!(
+        wire,
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
         reason(status),
         body.len()
-    );
+    )?;
     if let Some(secs) = retry_after {
-        head.push_str(&format!("retry-after: {secs}\r\n"));
+        write!(wire, "retry-after: {secs}\r\n")?;
     }
     if !keep_alive {
-        head.push_str("connection: close\r\n");
+        wire.extend_from_slice(b"connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    stream.write_all(&wire)?;
     stream.flush()
 }
 
@@ -451,6 +464,30 @@ mod tests {
         assert_eq!(err.status, 431);
     }
 
+    /// A request whose head, terminator included, is `len` bytes long,
+    /// padded with one long header.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let fixed = "GET / HTTP/1.1\r\nx-pad: \r\n\r\n".len();
+        let pad = "a".repeat(len - fixed);
+        format!("GET / HTTP/1.1\r\nx-pad: {pad}\r\n\r\n").into_bytes()
+    }
+
+    #[test]
+    fn a_full_size_head_trickled_one_byte_per_read_still_parses() {
+        let wire = head_of_len(MAX_HEAD_BYTES);
+        assert_eq!(wire.len(), MAX_HEAD_BYTES);
+        let fragments: Vec<Vec<u8>> = wire.iter().map(|&b| vec![b]).collect();
+        let mut stream = Fragmented { fragments, next: 0 };
+        let req = read_one(&mut RequestReader::new(1024), &mut stream);
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/"));
+
+        let wire = head_of_len(MAX_HEAD_BYTES + 16);
+        let fragments: Vec<Vec<u8>> = wire.iter().map(|&b| vec![b]).collect();
+        let mut stream = Fragmented { fragments, next: 0 };
+        let err = read_err(&mut RequestReader::new(1024), &mut stream);
+        assert_eq!(err.status, 431);
+    }
+
     #[test]
     fn malformed_lines_and_versions_get_typed_errors() {
         for (wire, status) in [
@@ -474,6 +511,38 @@ mod tests {
                 "wire: {:?}",
                 String::from_utf8_lossy(wire)
             );
+        }
+    }
+
+    /// Records every `write` call and accepts all the bytes offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        for (status, body, keep_alive, retry_after) in [
+            (200, &b"{\"value\": \"2/5\"}"[..], true, None),
+            (429, &b"{\"error\":{}}"[..], false, Some(2)),
+        ] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, body, keep_alive, retry_after).unwrap();
+            assert_eq!(out.writes, 1, "head and body must share one write");
+            assert!(out.bytes.ends_with(body));
         }
     }
 

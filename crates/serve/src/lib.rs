@@ -308,6 +308,9 @@ fn flush_loop(shared: &Shared) {
 /// this connection.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
+    // A reply larger than one segment must not wait for the peer's
+    // delayed ACK before its last segment leaves.
+    let _ = stream.set_nodelay(true);
     let mut reader = RequestReader::new(shared.config.max_body);
     loop {
         if shared.stop.load(Ordering::Acquire) {

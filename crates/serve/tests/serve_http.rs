@@ -94,6 +94,29 @@ fn solves_over_the_wire_and_reports_cache_status() {
     assert_eq!(str_of(&doc, "value"), "2/5");
 }
 
+/// Nagle's algorithm holds a second small segment until the peer's
+/// delayed ACK, about 40 ms; a request or a reply split into head and
+/// body writes pays that wait on every round trip of a keep-alive
+/// connection, so 50 of them would take at least 2 s.
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    let server = test_server(ServeConfig::default());
+    let mut client = connect(&server);
+    let body = c5_body();
+    assert_eq!(client.solve(&body).expect("warm-up solve").status, 200);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        let response = client.solve(&body).expect("solve");
+        assert_eq!(response.status, 200, "{}", response.text());
+        assert_eq!(str_of(&parse(&response.body), "cache"), "hit");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 warm keep-alive solves took {elapsed:?}"
+    );
+}
+
 #[test]
 fn typed_errors_cross_the_wire() {
     let server = test_server(ServeConfig::default());
