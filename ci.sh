@@ -28,6 +28,13 @@ echo "== rational kernel, release build =="
 # panics, so run the kernel's tests in release too.
 cargo test --release -q -p defender-num
 
+echo "== best-response scan, release build =="
+# The exact best response sums i128 numerators over the masses' common
+# denominator and falls back to Ratio sums where that arithmetic would
+# overflow. A release build wraps instead of panicking, so only this run
+# shows that the scan checks its arithmetic.
+cargo test --release -q -p defender-core --lib best_response
+
 echo "== perfbench build and tests =="
 # The benchmark package lives outside the workspace and builds against
 # its crates by path with its own lockfile. A manifest or API change can

@@ -8,12 +8,14 @@
 //! power the fictitious-play dynamics ([`crate::dynamics`]) and give
 //! experiments a refutation witness for non-equilibria.
 
+use core::ops::Add;
+
 use defender_graph::{EdgeId, VertexId};
 use defender_num::Ratio;
 
 use crate::model::{MixedConfig, TupleGame};
 use crate::payoff;
-use crate::tuple::{all_tuples, Tuple};
+use crate::tuple::{admit_enumeration, Tuple};
 use crate::CoreError;
 
 /// The attacker's best response to a configuration: a vertex of minimum
@@ -43,6 +45,14 @@ pub fn attacker_best_response(game: &TupleGame<'_>, config: &MixedConfig) -> (Ve
 /// The defender's *exact* best response to an attacker mass vector:
 /// the tuple maximizing covered mass, by exhaustive enumeration.
 ///
+/// The scan walks the tuples in [`all_tuples`](crate::tuple::all_tuples)
+/// order without building them, keeping per-vertex cover counts so that
+/// each step adds only the masses of newly covered vertices. It adds
+/// integer numerators over the masses' common denominator, or `Ratio`s
+/// when that denominator or a numerator overflows `i128`. Ties go to the
+/// first tuple in that order, the smallest in `Tuple`'s ordering, and
+/// only the winner is built.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::TooLarge`] when `C(m, k)` exceeds `limit`.
@@ -51,20 +61,132 @@ pub fn defender_best_response_exact(
     mass: &[Ratio],
     limit: usize,
 ) -> Result<(Tuple, Ratio), CoreError> {
-    let tuples = all_tuples(game.graph(), game.k(), limit)?;
+    let graph = game.graph();
+    admit_enumeration(graph.edge_count(), game.k(), limit)?;
+    let ends: Vec<[usize; 2]> = graph
+        .edges()
+        .map(|e| graph.endpoints(e).both().map(VertexId::index))
+        .collect();
+    let heaviest = match common_numerators(mass) {
+        Some(numerators) => first_heaviest(&ends, game.k(), &numerators, 0),
+        None => first_heaviest(&ends, game.k(), mass, Ratio::ZERO),
+    };
     #[expect(
         clippy::expect_used,
         reason = "k <= m guarantees at least one candidate tuple"
     )]
-    let best = tuples
-        .into_iter()
-        .map(|t| {
-            let value = payoff::tuple_mass_with(mass, game, &t);
-            (t, value)
-        })
-        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+    let tuple = Tuple::new(heaviest.into_iter().map(EdgeId::new).collect())
         .expect("k ≤ m guarantees at least one tuple");
-    Ok(best)
+    let value = payoff::tuple_mass_with(mass, game, &tuple);
+    Ok((tuple, value))
+}
+
+/// `mass` as integer numerators over its least common denominator, or
+/// `None` when that denominator overflows `u64` or the sum of all the
+/// numerators' magnitudes overflows `i128`. Each numerator fits, since
+/// it is an `i64` times a `u64`; the sum bound covers every partial sum
+/// of the scan.
+fn common_numerators(mass: &[Ratio]) -> Option<Vec<i128>> {
+    let mut den: u64 = 1;
+    for r in mass {
+        let d = r.denom().unsigned_abs();
+        // Masses share a few denominators, so most already divide `den`.
+        if den.checked_rem(d)? != 0 {
+            let g = u64::try_from(defender_num::gcd(u128::from(den), u128::from(d))).ok()?;
+            den = den.checked_mul(d.checked_div(g)?)?;
+        }
+    }
+    let numerators = mass
+        .iter()
+        .map(|r| {
+            let scale = den.checked_div(r.denom().unsigned_abs())?;
+            i128::from(r.numer()).checked_mul(i128::from(scale))
+        })
+        .collect::<Option<Vec<i128>>>()?;
+    numerators
+        .iter()
+        .try_fold(0i128, |sum, w| sum.checked_add(w.checked_abs()?))?;
+    Some(numerators)
+}
+
+/// The edge indices of the first `k`-combination, in lexicographic order,
+/// whose covered vertices weigh the most under `weight` (empty unless
+/// `1 ≤ k ≤ ends.len()`).
+fn first_heaviest<W>(ends: &[[usize; 2]], k: usize, weight: &[W], zero: W) -> Vec<usize>
+where
+    W: Copy + Ord + Add<Output = W>,
+{
+    if k == 0 || k > ends.len() {
+        return Vec::new();
+    }
+    let mut walk = CoverWalk {
+        ends,
+        weight,
+        covers: vec![0; weight.len()],
+        chosen: Vec::with_capacity(k),
+        best: None,
+        heaviest: Vec::with_capacity(k),
+    };
+    walk.extend(0, k, zero);
+    walk.heaviest
+}
+
+/// The depth-first walk behind [`first_heaviest`]: `chosen` holds the
+/// edge indices picked so far, and `covers[v]` counts how many of them
+/// cover vertex `v`.
+struct CoverWalk<'a, W> {
+    ends: &'a [[usize; 2]],
+    weight: &'a [W],
+    covers: Vec<u32>,
+    chosen: Vec<usize>,
+    /// The heaviest complete combination so far, and its weight.
+    heaviest: Vec<usize>,
+    best: Option<W>,
+}
+
+impl<W: Copy + Ord + Add<Output = W>> CoverWalk<'_, W> {
+    /// Completes `chosen` with `left ≥ 1` more edges from index `first`
+    /// on, in order; `covered` is the weight `chosen` already covers.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "e < ends.len() by the range; endpoints are vertex ids, and \
+                  covers and weight are sized by vertex_count"
+    )]
+    fn extend(&mut self, first: usize, left: usize, covered: W) {
+        let last = self.ends.len() - left;
+        if left == 1 {
+            // The last edge completes a combination: weigh it in place.
+            for e in first..=last {
+                let mut sum = covered;
+                for v in self.ends[e] {
+                    if self.covers[v] == 0 {
+                        sum = sum + self.weight[v];
+                    }
+                }
+                if self.best.map_or(true, |best| sum > best) {
+                    self.best = Some(sum);
+                    self.heaviest.clone_from(&self.chosen);
+                    self.heaviest.push(e);
+                }
+            }
+            return;
+        }
+        for e in first..=last {
+            let mut sum = covered;
+            for v in self.ends[e] {
+                if self.covers[v] == 0 {
+                    sum = sum + self.weight[v];
+                }
+                self.covers[v] += 1;
+            }
+            self.chosen.push(e);
+            self.extend(e + 1, left - 1, sum);
+            self.chosen.pop();
+            for v in self.ends[e] {
+                self.covers[v] -= 1;
+            }
+        }
+    }
 }
 
 /// The defender's *greedy* best response: repeatedly add the edge with the
@@ -233,6 +355,133 @@ mod tests {
         let mass = payoff::vertex_mass(&game, ne.config());
         let (_, greedy) = defender_best_response_greedy(&game, &mass);
         assert_eq!(greedy, ne.defender_gain());
+    }
+
+    /// The enumerating scan the exact best response replaced: every
+    /// tuple built by `all_tuples`, weighed by `tuple_mass_with`, and the
+    /// smallest tuple among the heaviest.
+    fn enumerating_oracle(
+        game: &TupleGame<'_>,
+        mass: &[Ratio],
+        limit: usize,
+    ) -> Result<(Tuple, Ratio), CoreError> {
+        let tuples = crate::tuple::all_tuples(game.graph(), game.k(), limit)?;
+        Ok(tuples
+            .into_iter()
+            .map(|t| {
+                let value = payoff::tuple_mass_with(mass, game, &t);
+                (t, value)
+            })
+            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+            .unwrap())
+    }
+
+    /// The `core.exhaustive.*` ticks of `f`.
+    fn exhaustive_ticks<T>(f: impl FnOnce() -> T) -> (T, Vec<(String, u64)>) {
+        let (out, mut deltas) = defender_obs::captured(f);
+        deltas.retain(|(name, _)| name.starts_with("core.exhaustive."));
+        (out, deltas)
+    }
+
+    /// Runs the scan and the oracle on one mass vector and requires the
+    /// same tuple, value, error and enumeration counters.
+    fn assert_matches_oracle(game: &TupleGame<'_>, mass: &[Ratio], limit: usize, what: &str) {
+        let scan = exhaustive_ticks(|| defender_best_response_exact(game, mass, limit));
+        let oracle = exhaustive_ticks(|| enumerating_oracle(game, mass, limit));
+        assert_eq!(scan, oracle, "{what}");
+    }
+
+    #[test]
+    fn exact_scan_matches_the_enumerating_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xB0E5);
+        for n in (5..=8).flat_map(|n| [n; 6]) {
+            let g = generators::gnp_connected(n, 0.4, &mut rng);
+            for k in 1..=3.min(g.edge_count()) {
+                let game = TupleGame::new(&g, k, 2).unwrap();
+                let eq = crate::solve::solve_exact(&game, 100_000).unwrap();
+                let equilibrium = payoff::vertex_mass(&game, &eq.config);
+                assert_matches_oracle(&game, &equilibrium, 100_000, "equilibrium masses");
+                let random: Vec<Ratio> = g
+                    .vertices()
+                    .map(|_| {
+                        let numer = i64::try_from(rng.gen_range(0..7)).unwrap();
+                        let denom = i64::try_from(rng.gen_range(1..13)).unwrap();
+                        Ratio::new(numer, denom)
+                    })
+                    .collect();
+                assert_matches_oracle(&game, &random, 100_000, "random masses");
+                // All-equal masses tie many tuples: the smallest must win.
+                let equal = vec![Ratio::new(1, 3); g.vertex_count()];
+                assert_matches_oracle(&game, &equal, 100_000, "equal masses");
+            }
+        }
+    }
+
+    #[test]
+    fn a_limit_below_the_tuple_count_is_refused_like_the_oracle() {
+        let g = generators::petersen();
+        let game = TupleGame::new(&g, 2, 1).unwrap();
+        let mass = vec![Ratio::new(1, 10); 10];
+        // C(15, 2) = 105 tuples.
+        for limit in [0, 104] {
+            assert_matches_oracle(&game, &mass, limit, "refused");
+            let err = defender_best_response_exact(&game, &mass, limit).unwrap_err();
+            assert!(matches!(err, CoreError::TooLarge { .. }));
+        }
+        assert_matches_oracle(&game, &mass, 105, "admitted at the limit");
+        let eq = crate::solve::solve_exact(&game, 100_000).unwrap();
+        let (tuple, value, exact) = defender_best_response_auto(&game, &eq.config, 104);
+        let greedy = defender_best_response_greedy(&game, &payoff::vertex_mass(&game, &eq.config));
+        assert_eq!((tuple, value, exact), (greedy.0, greedy.1, false));
+    }
+
+    #[test]
+    fn masses_past_an_i128_common_denominator_are_summed_as_ratios() {
+        // Tuples here cover at most four vertices, so each tuple's mass
+        // fits in a Ratio, but the masses' common denominator does not
+        // fit in an i128.
+        let primes: [i64; 12] = [
+            32_749, 32_719, 32_717, 32_713, 32_707, 32_693, 32_687, 32_653, 32_647, 32_633, 32_621,
+            32_611,
+        ];
+        let g = generators::cycle(12);
+        let mass: Vec<Ratio> = primes.iter().map(|&p| Ratio::new(1, p)).collect();
+        assert_eq!(common_numerators(&mass), None);
+        for k in 1..=2 {
+            let game = TupleGame::new(&g, k, 1).unwrap();
+            assert_matches_oracle(&game, &mass, 100_000, "small coprime denominators");
+        }
+        let primes: [i64; 6] = [
+            2_147_483_647,
+            2_147_483_629,
+            2_147_483_587,
+            2_147_483_579,
+            2_147_483_563,
+            2_147_483_549,
+        ];
+        let g = generators::complete(6);
+        let game = TupleGame::new(&g, 1, 1).unwrap();
+        let mass: Vec<Ratio> = primes.iter().map(|&p| Ratio::new(p - 1, p)).collect();
+        assert_eq!(common_numerators(&mass), None);
+        assert_matches_oracle(&game, &mass, 100_000, "large coprime denominators");
+    }
+
+    #[test]
+    fn numerators_whose_magnitudes_sum_past_i128_are_summed_as_ratios() {
+        // On P12 each edge covers at most one of the five i64::MAX masses
+        // and never the 1/(2^62 + 1) one with them, so each tuple's mass
+        // fits in a Ratio; scaled to the common denominator 2^62 + 1, the
+        // five numerators sum past i128::MAX.
+        let g = generators::path(12);
+        let game = TupleGame::new(&g, 1, 1).unwrap();
+        let big = Ratio::from_integer(i64::MAX);
+        let mut mass = [big, Ratio::ZERO].repeat(5);
+        mass.extend([Ratio::new(1, (1 << 62) + 1), Ratio::ZERO]);
+        assert_eq!(common_numerators(&mass), None);
+        assert_matches_oracle(&game, &mass, 100_000, "numerators past i128");
+        let (tuple, value) = defender_best_response_exact(&game, &mass, 100).unwrap();
+        assert_eq!(tuple, Tuple::single(EdgeId::new(0)));
+        assert_eq!(value, big);
     }
 
     #[test]

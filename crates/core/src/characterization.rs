@@ -20,9 +20,9 @@
 use defender_graph::{edge_cover, independent_set, subgraph, vertex_cover};
 use defender_num::Ratio;
 
+use crate::best_response::defender_best_response_exact;
 use crate::model::{MixedConfig, TupleGame};
 use crate::payoff;
-use crate::tuple::all_tuples;
 use crate::CoreError;
 
 /// Default cap on `C(m, k)` for the exhaustive branch of `Auto` mode.
@@ -305,14 +305,10 @@ fn analytic_max(game: &TupleGame<'_>, mass: &[Ratio]) -> Result<Ratio, CoreError
     })
 }
 
-/// Exhaustive maximum over all `C(m, k)` tuples.
+/// Exhaustive maximum over all `C(m, k)` tuples: the covered mass of the
+/// defender's exact best response.
 fn exhaustive_max(game: &TupleGame<'_>, mass: &[Ratio], limit: usize) -> Result<Ratio, CoreError> {
-    let tuples = all_tuples(game.graph(), game.k(), limit)?;
-    Ok(tuples
-        .iter()
-        .map(|t| payoff::tuple_mass_with(mass, game, t))
-        .max()
-        .unwrap_or(Ratio::ZERO))
+    defender_best_response_exact(game, mass, limit).map(|(_, max)| max)
 }
 
 /// Checks condition 1 of Theorem 3.4 alone (used by Lemma 4.1 /

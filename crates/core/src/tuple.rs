@@ -152,18 +152,9 @@ pub fn all_tuples(graph: &Graph, k: usize, limit: usize) -> Result<Vec<Tuple>, C
     if k == 0 || k > m {
         return Ok(Vec::new());
     }
-    let count = binomial(m, k);
-    if count.map_or(true, |c| c > limit as u128) {
-        defender_obs::counter!("core.exhaustive.enumerations_rejected").incr();
-        return Err(CoreError::TooLarge {
-            what: format!("C({m}, {k}) tuples"),
-            limit,
-        });
-    }
+    let count = admit_enumeration(m, k, limit)?;
     let _span = defender_obs::span!("all_tuples");
-    defender_obs::counter!("core.exhaustive.tuples_enumerated")
-        .add(u64::try_from(count.unwrap_or(0)).unwrap_or(u64::MAX));
-    let mut out = Vec::with_capacity(count.unwrap_or(0) as usize);
+    let mut out = Vec::with_capacity(count);
     let mut indices: Vec<usize> = (0..k).collect();
     #[expect(clippy::indexing_slicing, reason = "i < k from the break above")]
     loop {
@@ -194,6 +185,29 @@ pub fn all_tuples(graph: &Graph, k: usize, limit: usize) -> Result<Vec<Tuple>, C
             indices[j] = indices[j - 1] + 1;
         }
     }
+}
+
+/// Admits an enumeration of all `C(m, k)` tuples when their number is at
+/// most `limit`, and returns that number. Ticks
+/// `core.exhaustive.tuples_enumerated` by it, or
+/// `core.exhaustive.enumerations_rejected` once on refusal.
+///
+/// # Errors
+///
+/// Returns [`CoreError::TooLarge`] when `C(m, k)` exceeds `limit`.
+pub(crate) fn admit_enumeration(m: usize, k: usize, limit: usize) -> Result<usize, CoreError> {
+    let Some(count) = binomial(m, k)
+        .and_then(|c| usize::try_from(c).ok())
+        .filter(|&c| c <= limit)
+    else {
+        defender_obs::counter!("core.exhaustive.enumerations_rejected").incr();
+        return Err(CoreError::TooLarge {
+            what: format!("C({m}, {k}) tuples"),
+            limit,
+        });
+    };
+    defender_obs::counter!("core.exhaustive.tuples_enumerated").add(count as u64);
+    Ok(count)
 }
 
 /// `C(n, k)` with overflow detection.

@@ -12,15 +12,17 @@
 //! can panic: edge lists are range- and loop-checked before they touch
 //! [`GraphBuilder`]'s asserting API.
 
+use std::fmt::{self, Write as _};
+
 use defender_core::algorithm::ATupleReport;
 use defender_core::model::TupleGame;
 use defender_core::pure::PureNeOutcome;
 use defender_core::solve::ExactEquilibrium;
 use defender_core::tuple::Tuple;
 use defender_graph::graph6::{from_graph6, Graph6Error};
-use defender_graph::{Graph, GraphBuilder, VertexId};
+use defender_graph::{EdgeId, Graph, GraphBuilder, VertexId};
 use defender_num::Ratio;
-use defender_obs::json::{self, JsonArray, JsonObject, JsonValue};
+use defender_obs::json::{self, Escaped, JsonObject, JsonValue};
 
 use crate::http::HttpError;
 
@@ -263,101 +265,97 @@ pub struct SolveOutcome<'a> {
     pub defender_br: (&'a Tuple, Ratio, bool),
 }
 
-/// Renders the `/v1/solve` 200 body.
+/// Renders the `/v1/solve` 200 body, streamed field by field into one
+/// buffer.
 #[must_use]
 pub fn render_solve_response(game: &TupleGame<'_>, out: &SolveOutcome<'_>) -> Vec<u8> {
+    let mut body = String::with_capacity(1024);
+    let _ = write_solve_response(&mut body, game, out); // writing to a String cannot fail
+    body.into_bytes()
+}
+
+fn write_solve_response(
+    w: &mut String,
+    game: &TupleGame<'_>,
+    out: &SolveOutcome<'_>,
+) -> fmt::Result {
     let graph = game.graph();
-    let edge_pairs = |t: &Tuple| {
-        let mut arr = JsonArray::new();
-        for &e in t.edges() {
-            let ends = graph.endpoints(e);
-            let mut pair = JsonArray::new();
-            pair.push_u64(ends.u().index() as u64);
-            pair.push_u64(ends.v().index() as u64);
-            arr.push_raw(&pair.finish());
-        }
-        arr.finish()
-    };
-
-    let mut doc = JsonObject::new();
-    doc.field_u64("n", graph.vertex_count() as u64);
-    doc.field_u64("m", graph.edge_count() as u64);
-    doc.field_u64("k", game.k() as u64);
-    doc.field_u64("nu", game.attacker_count() as u64);
-    doc.field_str("canonical", out.canonical);
-    doc.field_str("cache", out.status.as_str());
-    doc.field_str("value", &out.equilibrium.value.to_string());
-    doc.field_str("defender_gain", &out.equilibrium.defender_gain.to_string());
-
-    let mut pure = JsonObject::new();
+    let eq = out.equilibrium;
+    write!(
+        w,
+        "{{\"n\": {}, \"m\": {}, \"k\": {}, \"nu\": {}, \"canonical\": \"{}\", \
+         \"cache\": \"{}\", \"value\": \"{}\", \"defender_gain\": \"{}\", \"pure_ne\": ",
+        graph.vertex_count(),
+        graph.edge_count(),
+        game.k(),
+        game.attacker_count(),
+        Escaped(out.canonical),
+        out.status.as_str(),
+        eq.value,
+        eq.defender_gain,
+    )?;
     match out.pure {
         PureNeOutcome::Exists { cover, .. } => {
-            pure.field_bool("exists", true);
-            let mut arr = JsonArray::new();
-            for &e in cover {
-                let ends = graph.endpoints(e);
-                let mut pair = JsonArray::new();
-                pair.push_u64(ends.u().index() as u64);
-                pair.push_u64(ends.v().index() as u64);
-                arr.push_raw(&pair.finish());
-            }
-            pure.field_raw("cover", &arr.finish());
+            w.write_str("{\"exists\": true, \"cover\": ")?;
+            write_edges(w, graph, cover)?;
+            w.write_char('}')?;
         }
         PureNeOutcome::None { min_cover_size } => {
-            pure.field_bool("exists", false);
-            pure.field_u64("min_cover_size", *min_cover_size as u64);
+            write!(
+                w,
+                "{{\"exists\": false, \"min_cover_size\": {min_cover_size}}}"
+            )?;
         }
     }
-    doc.field_raw("pure_ne", &pure.finish());
 
-    let mut attacker = JsonArray::new();
-    for (v, p) in out.equilibrium.config.attacker(0).iter() {
-        let mut item = JsonObject::new();
-        item.field_u64("vertex", v.index() as u64);
-        item.field_str("p", &p.to_string());
-        attacker.push_raw(&item.finish());
+    w.write_str(", \"equilibrium\": {\"attacker\": [")?;
+    for (i, (v, p)) in eq.config.attacker(0).iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(w, "{sep}{{\"vertex\": {}, \"p\": \"{p}\"}}", v.index())?;
     }
-    let mut defender = JsonArray::new();
-    for (t, p) in out.equilibrium.config.defender().iter() {
-        let mut item = JsonObject::new();
-        item.field_raw("edges", &edge_pairs(t));
-        item.field_str("p", &p.to_string());
-        defender.push_raw(&item.finish());
+    w.write_str("], \"defender\": [")?;
+    for (i, (t, p)) in eq.config.defender().iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(w, "{sep}{{\"edges\": ")?;
+        write_edges(w, graph, t.edges())?;
+        write!(w, ", \"p\": \"{p}\"}}")?;
     }
-    let mut mixed = JsonObject::new();
-    mixed.field_raw("attacker", &attacker.finish());
-    mixed.field_raw("defender", &defender.finish());
-    doc.field_raw("equilibrium", &mixed.finish());
-
-    let mut a_tuple = JsonObject::new();
+    w.write_str("]}, \"a_tuple\": ")?;
     match &out.a_tuple {
-        Some((route, report)) => {
-            a_tuple.field_bool("applies", true);
-            a_tuple.field_str("route", route);
-            a_tuple.field_u64("e_num", report.e_num as u64);
-            a_tuple.field_u64("delta", report.delta as u64);
-            a_tuple.field_str("defender_gain", &report.ne.defender_gain().to_string());
-            a_tuple.field_str("summary", &report.summary());
-        }
-        None => {
-            a_tuple.field_bool("applies", false);
-        }
+        Some((route, report)) => write!(
+            w,
+            "{{\"applies\": true, \"route\": \"{}\", \"e_num\": {}, \"delta\": {}, \
+             \"defender_gain\": \"{}\", \"summary\": \"{}\"}}",
+            Escaped(route),
+            report.e_num,
+            report.delta,
+            report.ne.defender_gain(),
+            Escaped(&report.summary()),
+        )?,
+        None => w.write_str("{\"applies\": false}")?,
     }
-    doc.field_raw("a_tuple", &a_tuple.finish());
 
-    let mut br = JsonObject::new();
-    let mut abr = JsonObject::new();
-    abr.field_u64("vertex", out.attacker_br.0.index() as u64);
-    abr.field_str("survival", &out.attacker_br.1.to_string());
-    br.field_raw("attacker", &abr.finish());
-    let mut dbr = JsonObject::new();
-    dbr.field_raw("edges", &edge_pairs(out.defender_br.0));
-    dbr.field_str("gain", &out.defender_br.1.to_string());
-    dbr.field_bool("exact", out.defender_br.2);
-    br.field_raw("defender", &dbr.finish());
-    doc.field_raw("best_response", &br.finish());
+    let (attacker_vertex, survival) = out.attacker_br;
+    let (defender_tuple, gain, exact) = out.defender_br;
+    write!(
+        w,
+        ", \"best_response\": {{\"attacker\": {{\"vertex\": {}, \"survival\": \"{survival}\"}}, \
+         \"defender\": {{\"edges\": ",
+        attacker_vertex.index(),
+    )?;
+    write_edges(w, graph, defender_tuple.edges())?;
+    write!(w, ", \"gain\": \"{gain}\", \"exact\": {exact}}}}}}}")
+}
 
-    doc.finish().into_bytes()
+/// Writes `edges` as a JSON array of `[u, v]` endpoint pairs.
+fn write_edges(w: &mut String, graph: &Graph, edges: &[EdgeId]) -> fmt::Result {
+    w.write_char('[')?;
+    for (i, &e) in edges.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let ends = graph.endpoints(e);
+        write!(w, "{sep}[{}, {}]", ends.u().index(), ends.v().index())?;
+    }
+    w.write_char(']')
 }
 
 #[cfg(test)]
