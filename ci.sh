@@ -43,13 +43,13 @@ echo "== perfbench build and tests =="
 CARGO_TARGET_DIR=.bench_build cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "== trace smoke test =="
-# Run one experiment with event tracing and in-process profiling on and
-# make sure the exported Chrome trace parses, has balanced begin/end
-# pairs, and dropped nothing (--strict-drops: a truncated timeline would
-# silently skew every profile number downstream).
+# Run one experiment with event tracing on and make sure the exported
+# Chrome trace parses, has balanced begin/end pairs, and dropped nothing
+# (--strict-drops: a truncated timeline would silently skew every profile
+# number downstream).
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-(cd "$SMOKE_DIR" && "$OLDPWD"/target/release/exp e1 --profile --trace e1.json > /dev/null 2> /dev/null)
+(cd "$SMOKE_DIR" && "$OLDPWD"/target/release/exp e1 --trace e1.json > /dev/null 2> /dev/null)
 target/release/defender bench validate-trace "$SMOKE_DIR/e1.json" --strict-drops
 
 echo "== profile analytics gate =="
@@ -114,66 +114,6 @@ target/release/defender bench diff \
   baselines/BENCH_e15_value_atlas.json \
   "$SUITE_DIR/BENCH_e15_value_atlas.json"
 
-echo "== sweep shard-width identity gate =="
-# Run E1 as a sharded sweep at widths 1 and 3: the merged sidecars'
-# `counters` objects must be byte-identical (every counter increment is
-# attributable to exactly one corpus instance, so per-shard counters sum
-# exactly — DESIGN.md §14). This is the cross-process analogue of the
-# jobs-invariance check above.
-SWEEP_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR"' EXIT
-target/release/defender sweep e1 --shards 1 --out "$SWEEP_DIR/w1" \
-  --bin-dir target/release
-target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/w3" \
-  --bin-dir target/release
-for w in w1 w3; do
-  grep -o '"counters": {[^}]*}' "$SWEEP_DIR/$w/BENCH_e1_pure_frontier.json" \
-    > "$SWEEP_DIR/$w.counters"
-done
-diff "$SWEEP_DIR/w1.counters" "$SWEEP_DIR/w3.counters"
-# The sharded counters must also match the unsharded smoke run's sidecar
-# exactly — sharding may not change what is measured.
-grep -o '"counters": {[^}]*}' "$SMOKE_DIR/BENCH_e1_pure_frontier.json" \
-  > "$SWEEP_DIR/plain.counters"
-diff "$SWEEP_DIR/plain.counters" "$SWEEP_DIR/w3.counters"
-
-echo "== sweep kill-and-resume smoke =="
-# Interrupt a 3-shard sweep with a real SIGKILL mid-run, then resume it:
-# the resumed merge must be byte-identical to the uninterrupted width-3
-# merge above. The interrupted sweep runs a wrapper `exp` that execs the
-# real binary for shard 0 and parks every other shard in `sleep` (the
-# runner invokes it as `exp <name> --shard i/N [...]`, so `$3` is the
-# shard spec); with --parallel 1 shard 1 spawns only after shard 0
-# sealed its checkpoint, so a non-empty shard_1/PID means the kill lands
-# mid-sweep on every run.
-# The shard PID files and DONE markers exist for exactly this test.
-KILL_BIN="$SWEEP_DIR/kill_bin"
-mkdir "$KILL_BIN"
-printf '#!/bin/sh\ncase "$3" in 0/*) exec "%s" "$@";; *) exec sleep 60;; esac\n' \
-  "$PWD/target/release/exp" > "$KILL_BIN/exp"
-chmod +x "$KILL_BIN/exp"
-target/release/defender sweep e1 --shards 3 --out "$SWEEP_DIR/kr" \
-  --parallel 1 --bin-dir "$KILL_BIN" &
-SWEEP_PID=$!
-for _ in $(seq 1 200); do
-  [[ -s "$SWEEP_DIR/kr/shard_1/PID" ]] && break
-  sleep 0.05
-done
-[[ -s "$SWEEP_DIR/kr/shard_1/PID" ]] || { echo "shard 1 never started"; exit 1; }
-kill -KILL "$SWEEP_PID" "$(cat "$SWEEP_DIR/kr/shard_1/PID")"
-wait "$SWEEP_PID" 2> /dev/null || true
-[[ -f "$SWEEP_DIR/kr/shard_0/DONE" ]] || { echo "shard 0 never checkpointed"; exit 1; }
-if [[ -f "$SWEEP_DIR/kr/shard_1/DONE" ]]; then
-  echo "shard 1 finished before the kill"; exit 1
-fi
-target/release/defender sweep e1 --shards 3 --resume "$SWEEP_DIR/kr" \
-  --bin-dir target/release 2> "$SWEEP_DIR/kr.log" || { cat "$SWEEP_DIR/kr.log"; exit 1; }
-grep -q '^resumed 1 shard(s)' "$SWEEP_DIR/kr.log" \
-  || { echo "the resume did not start from a checkpoint"; cat "$SWEEP_DIR/kr.log"; exit 1; }
-grep -o '"counters": {[^}]*}' "$SWEEP_DIR/kr/BENCH_e1_pure_frontier.json" \
-  > "$SWEEP_DIR/kr.counters"
-diff "$SWEEP_DIR/w3.counters" "$SWEEP_DIR/kr.counters"
-
 echo "== equilibrium cache gate =="
 # Run E15 twice against the same --cache directory. The first run fills
 # the memo (one entry per isomorphism class); the second must be served
@@ -182,7 +122,7 @@ echo "== equilibrium cache gate =="
 # byte-identical between the two runs — cache warmth must be invisible
 # to the regression gate (DESIGN.md §15).
 CACHE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$CACHE_DIR"' EXIT
 mkdir "$CACHE_DIR/cold" "$CACHE_DIR/warm"
 (cd "$CACHE_DIR/cold" && "$OLDPWD"/target/release/exp e15 --cache "$CACHE_DIR/memo" > /dev/null)
 (cd "$CACHE_DIR/warm" && "$OLDPWD"/target/release/exp e15 --cache "$CACHE_DIR/memo" > /dev/null)
@@ -204,7 +144,7 @@ echo "== exact LP memory bound =="
 # vertices on its rows, so its tableau is 10 x 14,201 and the solve fits
 # in a 256 MiB address space; one row per tuple needs gigabytes.
 K10_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$K10_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$CACHE_DIR" "$K10_DIR"' EXIT
 for u in $(seq 0 9); do
   for v in $(seq $((u + 1)) 9); do
     echo "$u $v"
@@ -227,7 +167,7 @@ echo "== serve gate =="
 # two files must be byte-identical too.
 SERVE_DIR="$(mktemp -d)"
 SERVE_PID=""
-trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$SWEEP_DIR" "$CACHE_DIR" "$K10_DIR" "$SERVE_DIR"' EXIT
+trap 'kill "$SERVE_PID" 2> /dev/null || true; rm -rf "$SMOKE_DIR" "$JOBS_DIR" "$SUITE_DIR" "$CACHE_DIR" "$K10_DIR" "$SERVE_DIR"' EXIT
 mkdir "$SERVE_DIR/cold" "$SERVE_DIR/warm"
 
 serve_start() { # serve_start <logfile> <extra flags...>

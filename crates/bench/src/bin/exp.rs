@@ -44,9 +44,9 @@ fn main() {
         .split_first()
         .map_or(("", &[][..]), |(name, flags)| (name.as_str(), flags));
     if name == "all" {
-        defender_bench::experiment_main(name, flags, run_all);
+        defender_bench::experiment_main(flags, run_all);
     } else if let Some(&(_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        defender_bench::experiment_main(name, flags, run);
+        defender_bench::experiment_main(flags, run);
     } else {
         let problem = if name.is_empty() {
             "missing experiment name".to_string()
@@ -55,10 +55,8 @@ fn main() {
         };
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         eprintln!(
-            "error: {problem}\nusage: exp <{}|all> [--jobs <N>] [--trace <FILE>] [--profile] \
-             [--cache <DIR>] [--shard <i>/<N>]\n`--shard` applies to {} only",
-            names.join("|"),
-            defender_bench::shard::WINDOWED.join(", ")
+            "error: {problem}\nusage: exp <{}|all> [--jobs <N>] [--trace <FILE>] [--cache <DIR>]",
+            names.join("|")
         );
         std::process::exit(2);
     }

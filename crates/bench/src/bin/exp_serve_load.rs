@@ -189,13 +189,6 @@ fn run(options: &Options) -> Result<(), String> {
     outcome
 }
 
-/// Escapes `text` for embedding inside a JSON string literal. Graph6
-/// uses ASCII 63–126, which includes backslash — never splice a graph6
-/// string into a body unescaped.
-fn json_str(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Polls `/v1/healthz` until the server answers 200.
 fn wait_healthy(addr: SocketAddr) -> Result<(), String> {
     let deadline = Instant::now() + PROBE_TIMEOUT;
@@ -278,7 +271,7 @@ fn plan_requests(seed: u64, count: usize) -> (Vec<Planned>, usize) {
         let body = if i % 2 == 0 {
             format!(
                 r#"{{"graph6": "{}", "k": 1, "nu": 1}}"#,
-                json_str(&to_graph6(graph))
+                json::Escaped(&to_graph6(graph))
             )
         } else {
             edge_list_body(graph, &mut rng)
@@ -526,7 +519,7 @@ fn write_sidecar(metrics: &JsonValue, distinct: usize, elapsed: Duration) -> Res
 fn run_overload(options: &Options) -> Result<(), String> {
     let warm_body = format!(
         r#"{{"graph6": "{}", "k": 1, "nu": 1}}"#,
-        json_str(&to_graph6(&generators::cycle(5)))
+        json::Escaped(&to_graph6(&generators::cycle(5)))
     );
     let mut probe = connect(options.addr)?;
     let first = probe
@@ -571,7 +564,7 @@ fn run_overload(options: &Options) -> Result<(), String> {
                     let n = 30 + (j * options.clients + worker) % 12;
                     let body = format!(
                         r#"{{"graph6": "{}", "k": 2, "nu": 1}}"#,
-                        json_str(&to_graph6(&generators::path(n)))
+                        json::Escaped(&to_graph6(&generators::path(n)))
                     );
                     match client.solve(&body) {
                         Ok(response) if response.status == 429 => {

@@ -30,15 +30,13 @@ pub const THRESHOLD: f64 = 0.20;
 pub struct Sidecar {
     /// The experiment name recorded by the run.
     pub experiment: String,
-    /// Phases in recorded order as `(name, wall_seconds)`. Sweeps merge
-    /// them; the gate never judges them.
+    /// Phases in recorded order as `(name, wall_seconds)`; the gate
+    /// never judges them.
     pub phases: Vec<(String, f64)>,
-    /// Harvested counters as `(name, value)`.
+    /// Harvested counters as `(name, value)`. The optional `parallelism`
+    /// section (execution shape, which varies with `--jobs` and cache
+    /// warmth) is never read.
     pub counters: Vec<(String, u64)>,
-    /// Execution-shape metrics (`par.*`, `sw.*`, `prof.worker_busy_ppm.*`)
-    /// as `(name, value)`. Optional section; never judged by the gate —
-    /// these legitimately vary with `--jobs` and `--shards`.
-    pub parallelism: Vec<(String, u64)>,
 }
 
 impl Sidecar {
@@ -85,20 +83,10 @@ impl Sidecar {
                 .ok_or(format!("counter `{name}`: not a non-negative integer"))?;
             counters.push((name.clone(), value));
         }
-        let mut parallelism = Vec::new();
-        if let Some(section) = doc.get("parallelism").and_then(JsonValue::as_object) {
-            for (name, value) in section {
-                let value = value
-                    .as_u64()
-                    .ok_or(format!("parallelism `{name}`: not a non-negative integer"))?;
-                parallelism.push((name.clone(), value));
-            }
-        }
         Ok(Sidecar {
             experiment,
             phases,
             counters,
-            parallelism,
         })
     }
 
@@ -294,7 +282,6 @@ mod tests {
             experiment: "e_test".to_string(),
             phases: Vec::new(),
             counters: counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-            parallelism: Vec::new(),
         }
     }
 
@@ -343,19 +330,16 @@ mod tests {
         assert!(report.render().contains("ORPHANED"), "{}", report.render());
 
         // Segregated, the same comparison is clean: cache.* lives in the
-        // parallelism section, which the gate never judges.
-        let mut warm = sidecar(&[("lp.simplex.pivots", 100)]);
-        warm.parallelism = vec![
-            ("cache.canon_ns".to_string(), 123_456),
-            ("cache.hits".to_string(), 728),
-            ("cache.misses".to_string(), 0),
-        ];
-        let mut cold = sidecar(&[("lp.simplex.pivots", 100)]);
-        cold.parallelism = vec![
-            ("cache.canon_ns".to_string(), 654_321),
-            ("cache.hits".to_string(), 0),
-            ("cache.misses".to_string(), 728),
-        ];
+        // parallelism section, which the gate never reads.
+        let parse = |parallelism: &str| {
+            Sidecar::parse(&format!(
+                r#"{{"experiment": "x", "phases": [], "counters": {{"lp.simplex.pivots": 100}},
+                    "parallelism": {{{parallelism}}}}}"#
+            ))
+            .unwrap()
+        };
+        let warm = parse(r#""cache.canon_ns": 123456, "cache.hits": 728, "cache.misses": 0"#);
+        let cold = parse(r#""cache.canon_ns": 654321, "cache.hits": 0, "cache.misses": 728"#);
         let report = diff(&cold, &warm);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.count(Verdict::Orphaned), 0);
@@ -405,21 +389,6 @@ mod tests {
         assert_eq!(parsed.phases.len(), 1);
         assert!((parsed.phases[0].1 - 1.5).abs() < 1e-9);
         assert_eq!(parsed.counters, vec![("lp.pivots".to_string(), 42)]);
-    }
-
-    #[test]
-    fn sidecar_parses_the_parallelism_section() {
-        let mut rr = crate::RunReport::new("e_par");
-        rr.counter("lp.pivots", 7);
-        rr.parallelism("par.jobs", 4).parallelism("sw.shards", 3);
-        let parsed = Sidecar::parse(&rr.to_json()).unwrap();
-        assert_eq!(
-            parsed.parallelism,
-            vec![("par.jobs".to_string(), 4), ("sw.shards".to_string(), 3)]
-        );
-        // Absent section parses as empty, not an error.
-        let bare = Sidecar::parse(r#"{"experiment": "x", "phases": [], "counters": {}}"#).unwrap();
-        assert!(bare.parallelism.is_empty());
     }
 
     #[test]

@@ -3,48 +3,28 @@
 use defender_graph::{generators, Graph};
 use defender_num::rng::StdRng;
 
-/// One lazy graph-family spec: display name plus constructor.
-pub type FamilySpec = (&'static str, fn() -> Graph);
-
-/// The standard deterministic family zoo as *lazy* specs:
-/// `(name, constructor)`.
-///
-/// Sharded experiments index this list through
-/// [`crate::shard::window`] and construct **only** their window's
-/// graphs: graph construction emits `graph.build.*` counters, so an
-/// eager zoo would charge every shard for all seventeen builds and the
-/// merged counters could never match a single-process run. Unsharded
-/// callers use [`deterministic_families`], which builds the whole zoo.
-#[must_use]
-pub fn family_specs() -> Vec<FamilySpec> {
-    vec![
-        ("path P8", || generators::path(8)),
-        ("path P15", || generators::path(15)),
-        ("cycle C6", || generators::cycle(6)),
-        ("cycle C7", || generators::cycle(7)),
-        ("cycle C12", || generators::cycle(12)),
-        ("star K_{1,6}", || generators::star(6)),
-        ("wheel W6", || generators::wheel(6)),
-        ("complete K5", || generators::complete(5)),
-        ("complete K6", || generators::complete(6)),
-        ("K_{2,5}", || generators::complete_bipartite(2, 5)),
-        ("K_{4,4}", || generators::complete_bipartite(4, 4)),
-        ("grid 3x4", || generators::grid(3, 4)),
-        ("grid 4x4", || generators::grid(4, 4)),
-        ("hypercube Q3", || generators::hypercube(3)),
-        ("hypercube Q4", || generators::hypercube(4)),
-        ("Petersen", generators::petersen),
-        ("ladder L5", || generators::ladder(5)),
-    ]
-}
-
 /// The standard deterministic family zoo: `(name, graph)`.
 #[must_use]
 pub fn deterministic_families() -> Vec<(&'static str, Graph)> {
-    family_specs()
-        .into_iter()
-        .map(|(name, build)| (name, build()))
-        .collect()
+    vec![
+        ("path P8", generators::path(8)),
+        ("path P15", generators::path(15)),
+        ("cycle C6", generators::cycle(6)),
+        ("cycle C7", generators::cycle(7)),
+        ("cycle C12", generators::cycle(12)),
+        ("star K_{1,6}", generators::star(6)),
+        ("wheel W6", generators::wheel(6)),
+        ("complete K5", generators::complete(5)),
+        ("complete K6", generators::complete(6)),
+        ("K_{2,5}", generators::complete_bipartite(2, 5)),
+        ("K_{4,4}", generators::complete_bipartite(4, 4)),
+        ("grid 3x4", generators::grid(3, 4)),
+        ("grid 4x4", generators::grid(4, 4)),
+        ("hypercube Q3", generators::hypercube(3)),
+        ("hypercube Q4", generators::hypercube(4)),
+        ("Petersen", generators::petersen()),
+        ("ladder L5", generators::ladder(5)),
+    ]
 }
 
 /// The bipartite subset of the zoo (instances where Theorem 5.1 applies).
@@ -79,19 +59,6 @@ mod tests {
         for (name, g) in deterministic_families() {
             assert!(!g.has_isolated_vertex(), "{name}");
             assert!(g.edge_count() >= 1, "{name}");
-        }
-    }
-
-    #[test]
-    fn specs_build_the_same_zoo() {
-        let specs = family_specs();
-        let families = deterministic_families();
-        assert_eq!(specs.len(), families.len());
-        for ((spec_name, build), (name, graph)) in specs.into_iter().zip(&families) {
-            assert_eq!(spec_name, *name);
-            let built = build();
-            assert_eq!(built.vertex_count(), graph.vertex_count(), "{name}");
-            assert_eq!(built.edge_count(), graph.edge_count(), "{name}");
         }
     }
 

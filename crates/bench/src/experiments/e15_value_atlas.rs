@@ -37,13 +37,9 @@ pub fn run() {
     // fan the sweep over the pool and fold the histogram in mask order.
     // The fold is commutative anyway, and the `lp.*`/`core.*` counters are
     // atomic sums, so the sidecar counters come out identical for every
-    // `--jobs` width. Under `--shard i/N` the mask range is windowed: each
-    // shard touches only its own contiguous slice of the atlas, so merged
-    // counters across all shards equal a single-process run.
-    let window = crate::shard::window(1 << pairs.len());
-    let lo = window.start;
-    let values: Vec<Option<Ratio>> = defender_par::par_for_indexed(window.len(), |local| {
-        let mask = lo + local;
+    // `--jobs` width.
+    let masks = 1usize << pairs.len();
+    let values: Vec<Option<Ratio>> = defender_par::par_for_indexed(masks, |mask| {
         let mut b = GraphBuilder::new(N);
         for (bit, &(i, j)) in pairs.iter().enumerate() {
             if mask & (1 << bit) != 0 {
@@ -79,9 +75,8 @@ pub fn run() {
     // value. This drives the `se.pairs_skipped` / `se.pairs_tested`
     // pruning counters at experiment scale.
     let crosscheck_start = std::time::Instant::now();
-    let checks: Vec<Option<usize>> = defender_par::par_for_indexed(window.len(), |local| {
-        let mask = lo + local;
-        let value = values[local]?;
+    let checks: Vec<Option<usize>> = defender_par::par_for_indexed(masks, |mask| {
+        let value = values[mask]?;
         if (mask as u32).count_ones() > 6 {
             return None;
         }
@@ -122,16 +117,10 @@ pub fn run() {
         equilibria_total += count;
     }
     report.phase("enumeration_crosscheck", crosscheck_start.elapsed());
-    // Whole-corpus facts cannot be witnessed by a proper sub-window, so
-    // the global assertions only run unsharded (the per-instance LP-vs-
-    // enumeration agreement above still holds on every shard).
-    let whole_atlas = !crate::shard::sharded();
-    if whole_atlas {
-        assert!(
-            graphs_with_equilibria > 0,
-            "the sparse atlas must carry equal-support equilibria"
-        );
-    }
+    assert!(
+        graphs_with_equilibria > 0,
+        "the sparse atlas must carry equal-support equilibria"
+    );
 
     let mut table = Table::new(vec!["value", "graphs", "share"]);
     for (&value, &count) in &histogram {
@@ -144,28 +133,24 @@ pub fn run() {
     table.print();
     println!("\n{connected_count} labeled connected graphs on {N} vertices");
 
-    if whole_atlas {
-        let min = *histogram.keys().next().expect("non-empty atlas");
-        let max = *histogram.keys().next_back().expect("non-empty atlas");
-        assert_eq!(
-            min,
-            Ratio::new(1, 4),
-            "minimum value is the star's 1/|IS| = 1/4"
-        );
-        assert_eq!(max, Ratio::new(2, 5), "maximum value is the 2k/n bound");
-        println!(
-            "extremes: min = {min} (attacker hides in a size-4 independent set), \
-             max = {max} (the n/(2k) defense bound, tight)"
-        );
-    }
+    let min = *histogram.keys().next().expect("non-empty atlas");
+    let max = *histogram.keys().next_back().expect("non-empty atlas");
+    assert_eq!(
+        min,
+        Ratio::new(1, 4),
+        "minimum value is the star's 1/|IS| = 1/4"
+    );
+    assert_eq!(max, Ratio::new(2, 5), "maximum value is the 2k/n bound");
+    println!(
+        "extremes: min = {min} (attacker hides in a size-4 independent set), \
+         max = {max} (the n/(2k) defense bound, tight)"
+    );
     println!(
         "cross-check: support enumeration on the {graphs_checked} graphs with <= 6 edges \
          found {equilibria_total} equal-support equilibria ({graphs_with_equilibria} graphs \
          carry at least one); every equilibrium sits exactly on its LP value"
     );
-    if whole_atlas {
-        println!("\nPrediction: all values lie in [1/4, 2/5] with both ends attained — confirmed.");
-    }
+    println!("\nPrediction: all values lie in [1/4, 2/5] with both ends attained — confirmed.");
     report.harvest_and_write();
     defender_obs::disable();
 }

@@ -9,7 +9,7 @@ use defender_core::model::TupleGame;
 use defender_core::pure::{no_pure_ne_by_size, pure_ne_existence};
 use defender_matching::edge_cover::edge_cover_number;
 
-use crate::experiments::common::family_specs;
+use crate::experiments::common::deterministic_families;
 use crate::{RunReport, Table};
 
 /// Runs the experiment; panics if any instance violates Theorem 3.1.
@@ -32,16 +32,7 @@ pub fn run() {
     // stdout) is byte-identical for every `--jobs` width. A violated
     // theorem panics inside a task and propagates, failing the run just
     // as the sequential sweep did.
-    //
-    // Under `--shard i/N` only this shard's window of the zoo is even
-    // *constructed* — graph builds emit counters, so touching instances
-    // outside the window would break the merged-counters bar.
-    let specs = family_specs();
-    let window = crate::shard::window(specs.len());
-    let families: Vec<(&'static str, defender_graph::Graph)> = specs[window]
-        .iter()
-        .map(|(name, build)| (*name, build()))
-        .collect();
+    let families = deterministic_families();
     let results = defender_par::par_map(&families, |(name, graph)| {
         let family_start = std::time::Instant::now();
         let rho = edge_cover_number(graph).expect("zoo graphs are game-ready");

@@ -10,47 +10,24 @@ pub mod cache;
 pub mod diff;
 pub mod experiments;
 pub mod report;
-pub mod shard;
 pub mod timing;
 
 pub use report::{RunReport, Table};
 pub use timing::{linear_fit, median_time};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Whether `--profile` was passed to the running `exp`.
-/// Consulted by [`RunReport::harvest_and_write`] (append the in-process
-/// profile to the sidecar).
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Whether the current experiment run was started with `--profile`.
-#[must_use]
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
 /// Shared entry point of the `exp` binary: parses the flags all
-/// experiments share, runs experiment `name` (`run`), and exports
+/// experiments share, runs the experiment (`run`), and exports
 /// artifacts.
 ///
 /// Supported flags:
 ///
 /// - `--trace <FILE>` — record an event-level timeline of the run and
 ///   write it as Chrome trace-event JSON (open in Perfetto or
-///   `chrome://tracing`).
+///   `chrome://tracing`; `defender profile <FILE>` turns it into per-span
+///   calls and self/total times).
 /// - `--jobs <N>` — worker-pool width for the parallel inner loops
 ///   (default: the machine's available parallelism). Results are
 ///   byte-identical for every `N`; only wall-clock time changes.
-/// - `--profile` — record the trace in-process, harvest it with
-///   `defender-profile` at the end of the run, append a `profile`
-///   section (`prof.calls.*` / `prof.self_ns.*`) to the `BENCH_*.json`
-///   sidecar, and print the span table to stderr. Composes with
-///   `--trace`: one recording serves both.
-/// - `--shard <i>/<N>` — run only shard `i` of an `N`-way corpus
-///   partition (see [`shard::window`]); used by `defender sweep` to
-///   split one experiment across worker processes. Merged counters over
-///   all `N` shards are byte-identical to a single-process run. Only the
-///   experiments in [`shard::WINDOWED`] accept it.
 /// - `--cache <DIR>` — memoize exact equilibrium solves keyed by the
 ///   instance's canonical graph form (see `defender-cache`), persisting
 ///   the memo as a JSON sidecar in `DIR`. A warm cache makes repeat runs
@@ -60,17 +37,15 @@ pub fn profiling_enabled() -> bool {
 ///
 /// Exits with status 2 on a usage or export error (experiment assertion
 /// failures panic, as before).
-pub fn experiment_main(name: &str, flags: &[String], run: impl FnOnce()) {
-    if let Err(message) = experiment_main_with(name, flags, run) {
+pub fn experiment_main(flags: &[String], run: impl FnOnce()) {
+    if let Err(message) = experiment_main_with(flags, run) {
         eprintln!("error: {message}");
         std::process::exit(2);
     }
 }
 
-fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Result<(), String> {
+fn experiment_main_with(argv: &[String], run: impl FnOnce()) -> Result<(), String> {
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut profile = false;
-    let mut shard_spec: Option<(u64, u64)> = None;
     let mut iter = argv.iter();
     while let Some(token) = iter.next() {
         match token.as_str() {
@@ -92,31 +67,15 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
                 let value = iter.next().ok_or("option `--cache` needs a value")?;
                 cache::set_cache_dir(std::path::Path::new(value))?;
             }
-            "--profile" => profile = true,
-            "--shard" => {
-                let value = iter.next().ok_or("option `--shard` needs a value")?;
-                shard_spec = Some(shard::parse_shard_flag(value)?);
-            }
             other => {
                 return Err(format!(
                     "unknown option `{other}` (supported: --trace <FILE>, --jobs <N>, \
-                     --profile, --shard <i>/<N>, --cache <DIR>)"
+                     --cache <DIR>)"
                 ))
             }
         }
     }
-    PROFILING.store(profile, Ordering::Relaxed);
-    if let Some((index, total)) = shard_spec {
-        if !shard::WINDOWED.contains(&name) {
-            return Err(format!(
-                "experiment `{name}` does not window its corpus, so `--shard` would run \
-                 all of it in every shard (shardable: {})",
-                shard::WINDOWED.join(", ")
-            ));
-        }
-        shard::set_shard(index, total)?;
-    }
-    if trace_path.is_some() || profile {
+    if trace_path.is_some() {
         defender_obs::trace::start();
     }
     run();
@@ -126,14 +85,12 @@ fn experiment_main_with(name: &str, argv: &[String], run: impl FnOnce()) -> Resu
         defender_obs::trace::write_chrome_trace(&path)
             .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
         eprintln!("wrote trace {}", path.display());
-    } else if profile {
-        defender_obs::trace::stop();
     }
     Ok(())
 }
 
-/// Serializes unit tests that mutate the process-global shard and cache
-/// state (the statics in [`shard`] and [`cache`]).
+/// Serializes unit tests that mutate the process-global cache state (the
+/// static in [`cache`]).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -152,7 +109,7 @@ mod tests {
     #[test]
     fn jobs_flag_sets_the_pool_width() {
         let mut ran = false;
-        experiment_main_with("e1", &args(&["--jobs", "3"]), || {
+        experiment_main_with(&args(&["--jobs", "3"]), || {
             ran = true;
             assert_eq!(defender_par::jobs(), 3);
         })
@@ -164,26 +121,10 @@ mod tests {
     #[test]
     fn jobs_flag_rejects_garbage() {
         let run = || panic!("must not run");
-        assert!(experiment_main_with("e1", &args(&["--jobs"]), run).is_err());
-        assert!(experiment_main_with("e1", &args(&["--jobs", "zero"]), run).is_err());
-        assert!(experiment_main_with("e1", &args(&["--jobs", "0"]), run).is_err());
-        assert!(experiment_main_with("e1", &args(&["--bogus"]), run).is_err());
-    }
-
-    #[test]
-    fn shard_flag_declares_the_window() {
-        let _guard = test_lock();
-        let mut seen = None;
-        experiment_main_with("e1", &args(&["--shard", "1/3"]), || {
-            seen = shard::shard();
-        })
-        .unwrap();
-        assert_eq!(seen, Some((1, 3)));
-        shard::clear_shard();
-        let run = || panic!("must not run");
-        assert!(experiment_main_with("e1", &args(&["--shard"]), run).is_err());
-        assert!(experiment_main_with("e1", &args(&["--shard", "3/3"]), run).is_err());
-        assert!(experiment_main_with("e1", &args(&["--shard", "x"]), run).is_err());
+        assert!(experiment_main_with(&args(&["--jobs"]), run).is_err());
+        assert!(experiment_main_with(&args(&["--jobs", "zero"]), run).is_err());
+        assert!(experiment_main_with(&args(&["--jobs", "0"]), run).is_err());
+        assert!(experiment_main_with(&args(&["--bogus"]), run).is_err());
     }
 
     #[test]
@@ -193,7 +134,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-cache-flag-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut installed = false;
-        experiment_main_with("e1", &args(&["--cache", dir.to_str().unwrap()]), || {
+        experiment_main_with(&args(&["--cache", dir.to_str().unwrap()]), || {
             installed = cache::handle().is_some();
         })
         .unwrap();
@@ -204,27 +145,7 @@ mod tests {
         );
         cache::clear_cache();
         let run = || panic!("must not run");
-        assert!(experiment_main_with("e1", &args(&["--cache"]), run).is_err());
+        assert!(experiment_main_with(&args(&["--cache"]), run).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn profile_flag_starts_tracing_and_sets_the_gate() {
-        let mut observed = (false, false);
-        experiment_main_with("e1", &args(&["--profile"]), || {
-            observed = (profiling_enabled(), defender_obs::trace::enabled());
-        })
-        .unwrap();
-        assert_eq!(observed, (true, true), "gate + recording during run");
-        assert!(
-            !defender_obs::trace::enabled(),
-            "recording stops after the run"
-        );
-        PROFILING.store(false, Ordering::Relaxed);
-        defender_obs::trace::clear();
-        experiment_main_with("e1", &args(&[]), || {
-            assert!(!profiling_enabled());
-        })
-        .unwrap();
     }
 }

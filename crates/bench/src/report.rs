@@ -86,7 +86,6 @@ pub struct RunReport {
     phases: Vec<(String, Duration)>,
     counters: Vec<(String, u64)>,
     parallelism: Vec<(String, u64)>,
-    profile: Vec<(String, u64)>,
 }
 
 impl RunReport {
@@ -98,7 +97,6 @@ impl RunReport {
             phases: Vec::new(),
             counters: Vec::new(),
             parallelism: Vec::new(),
-            profile: Vec::new(),
         }
     }
 
@@ -123,7 +121,8 @@ impl RunReport {
     }
 
     /// Records one execution-shape metric into the "parallelism" section
-    /// (used by the sweep merger for `sw.*` shard-shape entries).
+    /// (used by `exp_serve_load` for the server's run-variant `srv.*` and
+    /// `cache.*` state).
     pub fn parallelism(&mut self, name: &str, value: u64) -> &mut RunReport {
         self.parallelism.push((name.to_string(), value));
         self
@@ -131,26 +130,24 @@ impl RunReport {
 
     /// Whether `name` belongs in the "parallelism" section rather than
     /// the jobs-invariant "counters" object: the `par.*` namespace varies
-    /// with `--jobs`, the `sw.*` namespace with `--shards`, `cache.*`
-    /// with the warmth of the `--cache` store (hits on a second run are
-    /// misses on the first; `cache.canon_ns` is wall time), and `srv.*`
-    /// with serving traffic shape (hit/miss/coalesced splits, queue
-    /// depth, latency — all warmth- and timing-variant by design; the
-    /// serve sidecar's judged counters come from the cache's stored
-    /// per-class deltas instead).
+    /// with `--jobs`, `cache.*` with the warmth of the `--cache` store
+    /// (hits on a second run are misses on the first; `cache.canon_ns` is
+    /// wall time), and `srv.*` with serving traffic shape (hit/miss/
+    /// coalesced splits, queue depth, latency — all warmth- and
+    /// timing-variant by design; the serve sidecar's judged counters come
+    /// from the cache's stored per-class deltas instead).
     fn is_execution_shape(name: &str) -> bool {
-        ["par.", "sw.", "cache.", "srv."]
+        ["par.", "cache.", "srv."]
             .iter()
             .any(|ns| name.starts_with(ns))
     }
 
     /// Copies every counter from an obs snapshot into the report.
     ///
-    /// The `par.*` namespace is an execution-shape record (pool width,
-    /// per-worker task splits) that legitimately varies with `--jobs`,
-    /// and `sw.*` (shard window shape) varies with `--shards`; both go
-    /// into the separate "parallelism" section so the "counters" object
-    /// stays byte-identical for every pool and shard width.
+    /// Execution-shape names ([`Self::is_execution_shape`]: pool width and
+    /// per-worker task splits, cache warmth, serving traffic) go into the
+    /// separate "parallelism" section, so the "counters" object stays
+    /// byte-identical for every pool width and cache warmth.
     pub fn counters_from(&mut self, snapshot: &defender_obs::Snapshot) -> &mut RunReport {
         for (name, value) in &snapshot.counters {
             if Self::is_execution_shape(name) {
@@ -163,29 +160,6 @@ impl RunReport {
             if Self::is_execution_shape(name) {
                 self.parallelism.push((name.clone(), *value));
             }
-        }
-        self
-    }
-
-    /// Appends the span attribution of a trace profile: `prof.calls.*`
-    /// and `prof.self_ns.*` into the `profile` section (self-times are
-    /// machine-sensitive, so they stay out of the jobs-invariant
-    /// `counters` object), and the jobs-variant `prof.worker_busy_ppm.*`
-    /// into the `parallelism` section next to `par.tasks.w*`.
-    pub fn profile_from(&mut self, profile: &defender_profile::Profile) -> &mut RunReport {
-        for span in &profile.spans {
-            self.profile
-                .push((format!("prof.calls.{}", span.name), span.calls));
-        }
-        for span in &profile.spans {
-            self.profile
-                .push((format!("prof.self_ns.{}", span.name), span.self_ns));
-        }
-        for worker in &profile.workers {
-            self.parallelism.push((
-                format!("prof.worker_busy_ppm.{}", worker.label),
-                worker.busy_ppm,
-            ));
         }
         self
     }
@@ -215,13 +189,6 @@ impl RunReport {
             }
             root.field_raw("parallelism", &par.finish());
         }
-        if !self.profile.is_empty() {
-            let mut prof = JsonObject::new();
-            for (name, value) in &self.profile {
-                prof.field_u64(name, *value);
-            }
-            root.field_raw("profile", &prof.finish());
-        }
         root.finish()
     }
 
@@ -243,18 +210,9 @@ impl RunReport {
     /// failing the run — the experiment result itself still stands).
     ///
     /// Publishes the trace-ring drop total into `trace.dropped_events`
-    /// first, so truncated timelines surface in the sidecar. Under
-    /// `--profile` ([`crate::profiling_enabled`]) it also harvests the
-    /// live trace through `defender-profile` and appends the span
-    /// attribution (see [`RunReport::profile_from`]).
+    /// first, so truncated timelines surface in the sidecar.
     pub fn harvest_and_write(&mut self) {
         defender_obs::trace::publish_drop_counter();
-        if crate::profiling_enabled() {
-            let profile =
-                defender_profile::Profile::build(&defender_profile::TraceInput::from_live());
-            self.profile_from(&profile);
-            eprint!("{}", defender_profile::to_table(&profile, 10));
-        }
         self.counters_from(&defender_obs::snapshot());
         match self.write_sidecar() {
             Ok(path) => println!("\nwrote {}", path.display()),
@@ -305,28 +263,6 @@ mod tests {
         assert!(json.contains(r#""par.tasks.w0": 12"#), "{json}");
         // Non-par gauges are not counters and stay out entirely.
         assert!(!json.contains("other.gauge"), "{json}");
-    }
-
-    #[test]
-    fn sw_metrics_are_segregated_like_par() {
-        let snapshot = defender_obs::Snapshot {
-            counters: vec![
-                ("algo.pivots".to_string(), 7),
-                ("sw.window_instances".to_string(), 6),
-            ],
-            gauges: vec![
-                ("sw.shard_index".to_string(), 1),
-                ("sw.shard_total".to_string(), 3),
-            ],
-            histograms: Vec::new(),
-        };
-        let mut report = RunReport::new("unit");
-        report.counters_from(&snapshot);
-        let json = report.to_json();
-        assert!(json.contains(r#""counters": {"algo.pivots": 7}"#), "{json}");
-        assert!(json.contains(r#""sw.window_instances": 6"#), "{json}");
-        assert!(json.contains(r#""sw.shard_index": 1"#), "{json}");
-        assert!(json.contains(r#""sw.shard_total": 3"#), "{json}");
     }
 
     #[test]
@@ -381,40 +317,5 @@ mod tests {
         let mut report = RunReport::new("unit");
         report.counter("algo.steps", 1);
         assert!(!report.to_json().contains("parallelism"));
-        assert!(!report.to_json().contains("profile"));
-    }
-
-    #[test]
-    fn profile_section_segregates_worker_stats() {
-        let profile = defender_profile::Profile {
-            duration_ns: 100,
-            spans: vec![defender_profile::SpanAgg {
-                name: "e1.solve".to_string(),
-                calls: 4,
-                self_ns: 90,
-                total_ns: 95,
-            }],
-            workers: vec![defender_profile::WorkerStat {
-                label: "w1".to_string(),
-                busy_ns: 50,
-                busy_ppm: 500_000,
-                stints: 1,
-                longest_idle_ns: 0,
-            }],
-            ..defender_profile::Profile::default()
-        };
-        let mut report = RunReport::new("unit");
-        report.profile_from(&profile);
-        let json = report.to_json();
-        assert!(
-            json.contains(r#""profile": {"prof.calls.e1.solve": 4, "prof.self_ns.e1.solve": 90}"#),
-            "{json}"
-        );
-        assert!(
-            json.contains(r#""parallelism": {"prof.worker_busy_ppm.w1": 500000}"#),
-            "{json}"
-        );
-        // Span attribution never leaks into the gated counters object.
-        assert!(json.contains(r#""counters": {}"#), "{json}");
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! # Telemetry contract
 //!
-//! Counter determinism is the workspace's load-bearing invariant: merged
-//! sidecar counters must be byte-identical across `--jobs` and `--shards`
-//! and across repeated runs. A naive cache breaks this — run 1 pays the
+//! Counter determinism is the workspace's load-bearing invariant: sidecar
+//! counters must be byte-identical across `--jobs` widths and across
+//! repeated runs. A naive cache breaks this — run 1 pays the
 //! solve ticks on misses, run 2 pays none. The fix is **delta replay**
 //! through one primitive, the counting scope [`defender_obs::captured`]:
 //!
@@ -35,10 +35,10 @@
 //! runs.
 //!
 //! Main-section counters are therefore `Σ over instances of
-//! class-deltas` regardless of cache state, jobs width, or shard cuts.
+//! class-deltas` regardless of cache state or jobs width.
 //! The cache's own `cache.hits` / `cache.misses` / `cache.canon_ns`
 //! counters *do* vary between runs by design and are segregated into the
-//! sidecar's run-variant section alongside `par.*` and `sw.*`.
+//! sidecar's run-variant section alongside `par.*`.
 //!
 //! # Trust model
 //!

@@ -82,7 +82,7 @@ impl Options {
     }
 }
 
-/// Takes the value-less switches `names` (such as `--profile`) out of
+/// Takes the value-less switches `names` (such as `--sidecar`) out of
 /// `argv`: returns whether each was given, and the remaining tokens for
 /// [`split_positionals`] and [`Options::parse`].
 #[must_use]

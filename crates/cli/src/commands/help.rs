@@ -1,10 +1,9 @@
 //! `defender help [topic]`.
 
-/// Dispatches `help` with an optional topic (`defender help sweep`).
+/// Dispatches `help` with an optional topic (`defender help serve`).
 /// Unknown topics fall back to the general usage page.
 pub fn run(argv: &[String]) {
     match argv.first().map(String::as_str) {
-        Some("sweep") => print_sweep(),
         Some("cache") => print_cache(),
         Some("serve") => print_serve(),
         _ => print(),
@@ -25,9 +24,8 @@ USAGE:
   defender bench diff <baseline.json> <current.json>
   defender bench validate-trace <trace.json> [--min-threads 1] [--strict-drops]
   defender profile <trace.json> [--format table|json] [--top N] [--sidecar]
-  defender sweep <experiment> --shards <N> [--resume <dir>] [options]   (see `defender help sweep`)
-  defender serve --addr <HOST:PORT> [--cache <DIR>] [options]          (see `defender help serve`)
-  defender help [sweep|cache|serve]
+  defender serve --addr <HOST:PORT> [--cache <DIR>] [options]   (see `defender help serve`)
+  defender help [cache|serve]
 
 `generate`, `analyze`, `simulate`, `value` and `convert` also accept
 (every command rejects an option it does not read):
@@ -54,13 +52,8 @@ with self/total times and call counts, text flamegraph, per-worker
 utilization and critical-path estimate. `--sidecar` writes
 BENCH_profile_<stem>.json for `bench diff` span-level gating. Exits with
 code 2 when the wall-clock accounting invariant is violated (a lane's
-root spans sum past the trace duration). The `exp` binary accepts
-`--profile` to harvest the same analysis in-process (span table on
-stderr, appended to the run sidecar).
-
-`sweep` splits one experiment's instance corpus across worker processes
-with checkpoint-resume and a merged sidecar — `defender help sweep` has
-the full story.
+root spans sum past the trace duration). To profile an experiment, run
+`exp <experiment> --trace <FILE>` and pass FILE to `profile`.
 
 `value --cache <DIR>` (and `exp <experiment> --cache <DIR>`)
 memoizes exact equilibria keyed by the graph's canonical form, so
@@ -95,55 +88,6 @@ EXAMPLES:
   defender generate --family cycle --n 12 --out ring.edges
   defender analyze --graph ring.edges --k 2 --nu 6
   defender simulate --graph ring.edges --k 2 --nu 6 --rounds 100000"
-    );
-}
-
-/// Prints the `defender help sweep` topic page.
-fn print_sweep() {
-    let windowed = defender_bench::shard::WINDOWED.join(", ");
-    println!(
-        "defender sweep — sharded experiment sweeps across worker processes
-
-USAGE:
-  defender sweep <experiment> --shards <N> [options]
-
-  <experiment>            an experiment that windows its corpus: {windowed}
-
-OPTIONS:
-  --shards <N>            split the instance corpus into N contiguous
-                          windows, one worker process each (required)
-  --out <dir>             sweep directory for checkpoints and the merged
-                          sidecar (default: sweep_<experiment>)
-  --resume <dir>          resume a killed sweep: shards with a sealed
-                          checkpoint (DONE marker + valid sidecar) are
-                          skipped, the rest re-run; implies --out <dir>
-  --parallel <M>          at most M workers at once (default: all shards)
-  --jobs <J>              forwarded to each worker's --jobs
-  --profile               forward --profile to each worker (in-process
-                          span analysis appended to shard sidecars)
-  --bin-dir <dir>         directory holding the `exp` worker binary
-                          (default: next to the defender executable)
-
-HOW IT WORKS:
-  The runner runs `exp <experiment> --shard i/N` once per shard, at
-  most --parallel at a time, and waits for each worker to exit. Each
-  worker computes only its corpus window; its stdout lands in
-  <out>/shard_<i>/console.log and its stderr in stderr.log. The runner
-  then merges the per-shard BENCH_*.json sidecars into
-  <out>/BENCH_<experiment>.json. The merged `counters` object is
-  byte-identical for every --shards width — CI diffs it against the
-  single-process run.
-
-CHECKPOINTS:
-  Each finished shard seals <out>/shard_<i>/ with a DONE marker; a
-  killed sweep resumes with --resume and produces byte-identical merged
-  counters. Exit code 3 means the sweep stopped before every shard
-  finished (resume it); failed shards exit 1 with their stderr paths.
-
-EXAMPLES:
-  defender sweep e1 --shards 4
-  defender sweep e15 --shards 8 --parallel 2 --jobs 4
-  defender sweep e15 --shards 8 --resume sweep_e15"
     );
 }
 

@@ -8,5 +8,4 @@ pub mod help;
 pub mod profile;
 pub mod serve;
 pub mod simulate;
-pub mod sweep;
 pub mod value;

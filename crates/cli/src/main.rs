@@ -42,9 +42,9 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         commands::help::print();
         return Ok(ExitCode::SUCCESS);
     };
-    // `bench`, `profile` and `sweep` manage their own argument
-    // grammars (positional files, value-less flags), which
-    // `Options::parse` rejects by design; dispatch them before the
+    // `bench` and `profile` manage their own argument grammars
+    // (positional files, value-less flags), which `Options::parse`
+    // rejects by design; dispatch them before the
     // uniform option pass. `serve` blocks until shut down over HTTP, so
     // it skips the post-run metrics/trace export below. `help` takes an
     // optional positional topic.
@@ -53,9 +53,6 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     }
     if command == "profile" {
         return commands::profile::run(rest);
-    }
-    if command == "sweep" {
-        return commands::sweep::run(rest);
     }
     if command == "serve" {
         return commands::serve::run(rest);

@@ -1,5 +1,6 @@
-//! Every command rejects an option it does not read: the run fails before
-//! doing any work, with an error that names the option.
+//! Every command rejects an option it does not read, and `defender`
+//! rejects a command it does not have: the run fails before doing any
+//! work, with an error that names the option or the command.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -12,24 +13,40 @@ fn unknown_options_fail_by_name_before_running() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for (command, option) in [
+    for (command, error) in [
         (
             "generate --family cycle --n 5 --out c5 --bogus 3",
-            "--bogus",
+            "unknown option `--bogus`",
         ),
-        ("value --graph c5.edges --k 1 --limt 5", "--limt"),
-        ("sweep e1 --shards 2 --stall-timeout 5", "--stall-timeout"),
-        ("sweep e1 --shards 2 --quiet", "--quiet"),
-        ("sweep e1 --shards 2 --paralel 1", "--paralel"),
-        ("serve --addr 127.0.0.1:0 --workers 2", "--workers"),
+        (
+            "value --graph c5.edges --k 1 --limt 5",
+            "unknown option `--limt`",
+        ),
+        ("sweep e1 --shards 2", "unknown command `sweep`"),
+        (
+            "serve --addr 127.0.0.1:0 --workers 2",
+            "unknown option `--workers`",
+        ),
         (
             "serve --addr 127.0.0.1:0 --batch-window-ms 5",
-            "--batch-window-ms",
+            "unknown option `--batch-window-ms`",
         ),
-        ("serve --addr 127.0.0.1:0 --jobs 2", "--jobs"),
-        ("serve --addr 127.0.0.1:0 --deadline-ms 10", "--deadline-ms"),
-        ("profile t.json --top 3 --limit 1", "--limit"),
-        ("bench validate-trace t.json --threads 2", "--threads"),
+        (
+            "serve --addr 127.0.0.1:0 --jobs 2",
+            "unknown option `--jobs`",
+        ),
+        (
+            "serve --addr 127.0.0.1:0 --deadline-ms 10",
+            "unknown option `--deadline-ms`",
+        ),
+        (
+            "profile t.json --top 3 --limit 1",
+            "unknown option `--limit`",
+        ),
+        (
+            "bench validate-trace t.json --threads 2",
+            "unknown option `--threads`",
+        ),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_defender"))
             .current_dir(&dir)
@@ -38,10 +55,7 @@ fn unknown_options_fail_by_name_before_running() {
             .expect("run defender");
         assert!(!output.status.success(), "defender {command} succeeded");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains(&format!("unknown option `{option}`")),
-            "defender {command}: {stderr}"
-        );
+        assert!(stderr.contains(error), "defender {command}: {stderr}");
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),
             0,

@@ -329,8 +329,8 @@ impl Metric {
 /// per pool worker), leaking both the name and the cell so the handle
 /// satisfies the registry's `'static` contract.
 ///
-/// Intended for small, bounded families of names (worker indices, shard
-/// ids) — each distinct name leaks once for the life of the process, so
+/// Intended for small, bounded families of names (worker indices) — each
+/// distinct name leaks once for the life of the process, so
 /// callers should cache the returned handle. Prefer [`counter!`] whenever
 /// the name is a compile-time constant.
 #[must_use]

@@ -14,9 +14,7 @@
 //!   so `--trace` and `--metrics` compose freely;
 //! - **no lost events**: every thread owns its own ring buffer, whose
 //!   lock only an exporter copying the ring can contend, so a recording
-//!   thread waits at most for one copy and keeps every event — an
-//!   in-process reader such as `exp --profile`'s harvest cannot unbalance
-//!   the timeline;
+//!   thread waits at most for one copy and keeps every event;
 //! - **bounded memory**: each ring holds at most [`capacity`] events;
 //!   overflow drops the *oldest* event and increments the buffer's drop
 //!   counter, so a long run degrades into "the most recent window" rather
@@ -88,13 +86,13 @@ impl EventKind {
 /// One recorded event: what happened, where on the timeline, on which
 /// thread (the thread id lives on the owning buffer).
 #[derive(Clone, Debug)]
-pub struct Event {
+struct Event {
     /// Nanoseconds since the trace epoch (first [`start`] of the process).
-    pub ts_ns: u64,
+    ts_ns: u64,
     /// Begin / end / instant.
-    pub kind: EventKind,
+    kind: EventKind,
     /// The span or marker name (static — recording never allocates for it).
-    pub name: &'static str,
+    name: &'static str,
 }
 
 /// The bounded event ring owned by one thread.
@@ -124,7 +122,7 @@ struct ThreadBuffer {
     tid: u64,
     ring: Mutex<Ring>,
     /// Human-readable lane name (empty = unnamed); exported as a Chrome
-    /// `thread_name` metadata event and surfaced by [`snapshot_threads`].
+    /// `thread_name` metadata event.
     label: Mutex<String>,
 }
 
@@ -247,11 +245,11 @@ pub(crate) fn record_end(name: &'static str) {
 /// Names the calling thread's trace lane (no-op while tracing is
 /// disabled, so untraced runs never register buffers).
 ///
-/// The label is exported as a Chrome `thread_name` metadata event and
-/// carried on [`ThreadSnapshot`]s, which is how `defender-profile`
-/// attributes lanes to pool workers: `defender-par` labels each worker
-/// `w<i>` at spawn, and repeated pool spawns reuse the label even though
-/// every scoped thread gets a fresh tid.
+/// The label is exported as a Chrome `thread_name` metadata event, which
+/// is how `defender-profile` attributes lanes to pool workers:
+/// `defender-par` labels each worker `w<i>` at spawn, and repeated pool
+/// spawns reuse the label even though every scoped thread gets a fresh
+/// tid.
 pub fn set_thread_label(label: &str) {
     if !enabled() {
         return;
@@ -269,9 +267,8 @@ pub fn set_thread_label(label: &str) {
 }
 
 /// Nanoseconds elapsed since the trace epoch (the first [`start`] of the
-/// process) — the "now" that in-process consumers such as
-/// `defender-profile` use to close still-open spans when harvesting a
-/// live trace mid-run.
+/// process) — the monotonic clock behind the `cache.canon_ns` counter and
+/// the `srv.latency_ns` histogram.
 #[must_use]
 pub fn elapsed_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -328,53 +325,6 @@ pub fn publish_drop_counter() {
         // sidecar pins the zero and a later drop shows up as growth.
         counter.add(0);
     }
-}
-
-/// One thread's buffered events, copied out for in-process analysis.
-#[derive(Clone, Debug)]
-pub struct ThreadSnapshot {
-    /// The stable per-thread id (the Chrome `tid`).
-    pub tid: u64,
-    /// The lane label from [`set_thread_label`] (empty = unnamed).
-    pub label: String,
-    /// Buffered events in recording order.
-    pub events: Vec<Event>,
-    /// Events this thread dropped by ring overflow.
-    pub dropped: u64,
-}
-
-/// Copies every thread's buffered events out of the rings (threads sorted
-/// by tid), for in-process consumers like `defender-profile` that analyze
-/// a live trace without a JSON round-trip.
-#[must_use]
-pub fn snapshot_threads() -> Vec<ThreadSnapshot> {
-    let buffers: Vec<Arc<ThreadBuffer>> = registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(Arc::clone)
-        .collect();
-    let mut out: Vec<ThreadSnapshot> = buffers
-        .iter()
-        .map(|buffer| {
-            let ring = buffer
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ThreadSnapshot {
-                tid: buffer.tid,
-                label: buffer
-                    .label
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-                events: ring.events.iter().cloned().collect(),
-                dropped: ring.dropped,
-            }
-        })
-        .collect();
-    out.sort_by_key(|s| s.tid);
-    out
 }
 
 /// Total events currently buffered, summed over every thread.
@@ -723,6 +673,7 @@ mod tests {
 
     #[test]
     fn thread_labels_export_as_metadata_and_validate() {
+        use crate::json::{self, JsonValue};
         let _guard = lock();
         clear();
         start();
@@ -730,19 +681,28 @@ mod tests {
         instant("labeled_tick");
         stop();
         let doc = chrome_trace_json();
-        let threads = snapshot_threads();
         clear();
         assert!(doc.contains(r#""name": "thread_name", "ph": "M""#), "{doc}");
         assert!(doc.contains(r#""args": {"name": "w7"}"#), "{doc}");
         let check = validate_chrome_trace(&doc).expect("metadata events validate");
         assert_eq!(check.events, 2, "M event + instant");
-        let lane = threads
-            .iter()
-            .find(|t| t.label == "w7")
-            .expect("labeled lane snapshot");
-        assert_eq!(lane.events.len(), 1);
-        assert_eq!(lane.events[0].name, "labeled_tick");
-        assert_eq!(lane.dropped, 0);
+        assert_eq!(check.dropped, 0);
+        // The lane's metadata comes first, then its one event.
+        let parsed = json::parse(&doc).expect("exporter output parses");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .expect("traceEvents");
+        let field = |i: usize, key: &str| events[i].get(key).cloned();
+        assert_eq!(
+            field(1, "name"),
+            Some(JsonValue::String("labeled_tick".into()))
+        );
+        assert_eq!(
+            field(0, "tid"),
+            field(1, "tid"),
+            "the tick is on the w7 lane"
+        );
     }
 
     #[test]
@@ -764,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_threads_carries_events_in_order() {
+    fn exported_lanes_carry_events_in_order() {
         let _guard = lock();
         clear();
         start();
@@ -773,17 +733,20 @@ mod tests {
             instant("snap_mark");
         }
         stop();
-        let threads = snapshot_threads();
+        let doc = chrome_trace_json();
         clear();
-        let lane = threads
-            .iter()
-            .find(|t| t.events.iter().any(|e| e.name == "snap_outer"))
-            .expect("recording lane present");
-        let names: Vec<&str> = lane.events.iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["snap_outer", "snap_mark", "snap_outer"]);
-        assert_eq!(lane.events[0].kind, EventKind::Begin);
-        assert_eq!(lane.events[2].kind, EventKind::End);
-        assert!(lane.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        // The validator rejects timestamps that regress on a lane.
+        let check = validate_chrome_trace(&doc).expect("exporter output validates");
+        assert_eq!(check.events, 3);
+        let order: Vec<usize> = [
+            r#""name": "snap_outer", "cat": "span", "ph": "B""#,
+            r#""name": "snap_mark", "cat": "span", "ph": "i""#,
+            r#""name": "snap_outer", "cat": "span", "ph": "E""#,
+        ]
+        .iter()
+        .map(|needle| doc.find(needle).expect(needle))
+        .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{doc}");
     }
 
     #[test]

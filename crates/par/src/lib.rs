@@ -355,12 +355,10 @@ mod tests {
         set_jobs(1);
         assert!(json.contains(r#""args": {"name": "w0"}"#), "{json}");
         assert!(json.contains(r#""args": {"name": "w1"}"#), "{json}");
-        let labels: Vec<String> = defender_obs::trace::snapshot_threads()
-            .into_iter()
-            .filter(|s| !s.label.is_empty())
-            .map(|s| s.label)
-            .collect();
-        assert!(labels.is_empty(), "clear() forgets the labels");
+        assert!(
+            !defender_obs::trace::chrome_trace_json().contains("thread_name"),
+            "clear() forgets the labels"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ const ELIDED: &[&str] = &["par.worker"];
 pub struct SpanAgg {
     /// The span name.
     pub name: String,
-    /// Completed (or harvest-closed) calls.
+    /// Completed calls, plus spans still open at the end of the trace.
     pub calls: u64,
     /// Nanoseconds spent in the span excluding its direct children.
     pub self_ns: u64,
@@ -61,8 +61,7 @@ pub struct WorkerStat {
 /// accounting checks the CI gate asserts.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Trace duration in nanoseconds: the live clock at harvest, or the
-    /// latest event timestamp for saved traces.
+    /// Trace duration in nanoseconds: the latest event timestamp.
     pub duration_ns: u64,
     /// Number of lanes (threads) carrying events.
     pub lanes: usize,
@@ -185,14 +184,13 @@ impl Profile {
     /// duration and counted in [`Profile::unclosed`].
     #[must_use]
     pub fn build(input: &TraceInput) -> Profile {
-        let max_ts = input
+        let duration_ns = input
             .lanes
             .iter()
             .flat_map(|l| l.events.iter())
             .map(|e| e.ts_ns)
             .max()
             .unwrap_or(0);
-        let duration_ns = input.end_ns.unwrap_or(max_ts).max(max_ts);
         let mut replay = Replay {
             nodes: Vec::new(),
             roots: BTreeMap::new(),
@@ -413,7 +411,6 @@ mod tests {
                 ],
             )],
             dropped_events: 0,
-            end_ns: None,
         };
         let p = Profile::build(&input);
         assert_eq!(p.duration_ns, 100);
@@ -447,7 +444,6 @@ mod tests {
         let parallel = TraceInput {
             lanes: vec![worker(2, "w0", 0), worker(3, "w1", 5)],
             dropped_events: 0,
-            end_ns: None,
         };
         // jobs=1 shape: the same two tasks inline on the main lane.
         let inline = TraceInput {
@@ -462,7 +458,6 @@ mod tests {
                 ],
             )],
             dropped_events: 0,
-            end_ns: None,
         };
         let p = Profile::build(&parallel);
         let q = Profile::build(&inline);
@@ -511,7 +506,6 @@ mod tests {
                 ),
             ],
             dropped_events: 0,
-            end_ns: None,
         };
         let p = Profile::build(&input);
         assert_eq!(p.workers.len(), 1, "one logical worker");
@@ -523,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn unclosed_spans_close_at_harvest_clock() {
+    fn unclosed_spans_close_at_the_trace_end() {
         let input = TraceInput {
             lanes: vec![lane(
                 1,
@@ -534,12 +528,11 @@ mod tests {
                 ],
             )],
             dropped_events: 0,
-            end_ns: Some(100),
         };
         let p = Profile::build(&input);
-        assert_eq!(p.duration_ns, 100);
+        assert_eq!(p.duration_ns, 10);
         assert_eq!(p.unclosed, 1);
-        assert_eq!(p.spans[0].total_ns, 100, "closed at the live clock");
+        assert_eq!(p.spans[0].total_ns, 10, "closed at the last event");
         assert_eq!(p.marks, vec![("mark".to_string(), 1)]);
     }
 
@@ -556,7 +549,6 @@ mod tests {
                 ],
             )],
             dropped_events: 3,
-            end_ns: None,
         };
         let p = Profile::build(&input);
         assert_eq!(p.unmatched, 1);
@@ -567,11 +559,9 @@ mod tests {
 
     #[test]
     fn overrun_detects_misclocked_lanes() {
-        // Two disjoint root spans summing past a (forced) short duration
-        // cannot happen with a monotone clock; simulate via end_ns below
-        // the... duration is max(end_ns, max_ts) so build one lane whose
-        // roots overlap: a/b both "root" because b's end precedes a's end
-        // is impossible on a stack — instead overlap two roots in time.
+        // Root spans summing past the trace duration (the latest
+        // timestamp) cannot happen with a monotone clock, so overlap two
+        // roots in time on one lane.
         let input = TraceInput {
             lanes: vec![lane(
                 1,
@@ -584,7 +574,6 @@ mod tests {
                 ],
             )],
             dropped_events: 0,
-            end_ns: None,
         };
         let p = Profile::build(&input);
         assert_eq!(p.duration_ns, 100);
@@ -619,7 +608,6 @@ mod tests {
                 ],
             )],
             dropped_events: 0,
-            end_ns: None,
         };
         let paths: Vec<String> = Profile::build(&input)
             .flame

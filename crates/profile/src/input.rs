@@ -1,5 +1,4 @@
-//! Trace ingestion: one [`TraceInput`] from either a saved Chrome trace
-//! document or the live in-process rings.
+//! Trace ingestion: one [`TraceInput`] from a saved Chrome trace document.
 
 use defender_obs::trace::EventKind;
 
@@ -27,17 +26,13 @@ pub struct Lane {
 }
 
 /// A complete trace ready for analysis: lanes sorted by tid, plus the
-/// drop accounting and (for live harvests) the current clock.
+/// drop accounting.
 #[derive(Clone, Debug, Default)]
 pub struct TraceInput {
     /// Per-thread timelines, sorted by tid.
     pub lanes: Vec<Lane>,
     /// Events lost to ring overflow.
     pub dropped_events: u64,
-    /// "Now" in epoch nanoseconds for a live harvest (used to close
-    /// still-open spans); `None` for saved traces, where the latest
-    /// event timestamp bounds the timeline instead.
-    pub end_ns: Option<u64>,
 }
 
 impl TraceInput {
@@ -111,39 +106,7 @@ impl TraceInput {
         Ok(TraceInput {
             lanes: lanes.into_values().collect(),
             dropped_events,
-            end_ns: None,
         })
-    }
-
-    /// Harvests the live in-process trace rings (non-destructively), for
-    /// profiling a run from inside the run — the `--profile` flag of
-    /// `exp`.
-    ///
-    /// Spans still open at harvest time are closed at the current clock
-    /// ([`defender_obs::trace::elapsed_ns`]) by the analyzer.
-    #[must_use]
-    pub fn from_live() -> TraceInput {
-        let lanes = defender_obs::trace::snapshot_threads()
-            .into_iter()
-            .map(|snapshot| Lane {
-                tid: snapshot.tid,
-                label: snapshot.label,
-                events: snapshot
-                    .events
-                    .into_iter()
-                    .map(|e| LaneEvent {
-                        ts_ns: e.ts_ns,
-                        kind: e.kind,
-                        name: e.name.to_string(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        TraceInput {
-            lanes,
-            dropped_events: defender_obs::trace::dropped_events(),
-            end_ns: Some(defender_obs::trace::elapsed_ns()),
-        }
     }
 }
 
@@ -169,7 +132,6 @@ mod tests {
         ], "displayTimeUnit": "ns", "otherData": {"droppedEvents": 4}}"#;
         let input = TraceInput::from_chrome_trace(text).unwrap();
         assert_eq!(input.dropped_events, 4);
-        assert_eq!(input.end_ns, None);
         assert_eq!(input.lanes.len(), 2);
         assert_eq!(input.lanes[0].tid, 3, "lanes sorted by tid");
         assert_eq!(input.lanes[0].events[0].kind, EventKind::Instant);
@@ -203,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn live_harvest_round_trips_the_rings() {
+    fn exported_rings_round_trip() {
         let _guard = lock();
         defender_obs::trace::clear();
         defender_obs::trace::start();
@@ -211,9 +173,10 @@ mod tests {
             let _s = defender_obs::span!("live_outer");
             defender_obs::trace::instant("live_mark");
         }
-        let input = TraceInput::from_live();
         defender_obs::trace::stop();
+        let doc = defender_obs::trace::chrome_trace_json();
         defender_obs::trace::clear();
+        let input = TraceInput::from_chrome_trace(&doc).unwrap();
         let lane = input
             .lanes
             .iter()
@@ -221,7 +184,6 @@ mod tests {
             .expect("recording lane present");
         let names: Vec<&str> = lane.events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["live_outer", "live_mark", "live_outer"]);
-        let end = input.end_ns.expect("live harvests carry the clock");
-        assert!(lane.events.iter().all(|e| e.ts_ns <= end));
+        assert!(lane.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 }

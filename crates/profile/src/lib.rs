@@ -3,9 +3,8 @@
 //!
 //! `defender-obs` records span timelines (Chrome trace-event JSON via
 //! `--trace`); this crate turns those timelines into answers: *where does
-//! the time go?* It consumes the event stream either from a saved trace
-//! file ([`TraceInput::from_chrome_trace`]) or live from the in-process
-//! rings ([`TraceInput::from_live`]) and produces
+//! the time go?* It consumes the event stream from a saved trace file
+//! ([`TraceInput::from_chrome_trace`]) and produces
 //!
 //! - a **self-time / total-time aggregation** per span name with call
 //!   counts ([`Profile::spans`]),

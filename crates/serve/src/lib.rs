@@ -27,11 +27,15 @@
 //!
 //! The request path ticks `srv.*` counters (requests, hits, misses,
 //! coalesced, shed, panics, ...), an in-flight-classes gauge, and a
-//! latency histogram, and wraps each request in a `span!` lane, so
-//! `defender profile` and the bench gate cover serving like any
-//! experiment. Live counters are warm-variant by
-//! design; the warmth-invariant judged view is exposed as the
-//! `judged` object of `GET /v1/metrics` (see [`solver`] docs).
+//! latency histogram, and wraps each request in a `srv.request` span.
+//! `defender serve` never starts tracing, so that span records only in
+//! a process that embeds this crate and calls
+//! `defender_obs::trace::start` itself, and `defender profile` does not
+//! cover a served process. The bench gate covers serving through the
+//! `BENCH_serve.json` sidecar that `exp_serve_load` writes. Live
+//! counters are warm-variant by design; the warmth-invariant judged
+//! view is exposed as the `judged` object of `GET /v1/metrics` (see
+//! [`solver`] docs).
 
 #![warn(missing_docs, missing_debug_implementations)]
 // Workspace invariants (DESIGN.md §12): exactness, panic, cast.

@@ -68,7 +68,6 @@ const SCOPES: &[(&str, &[&[&str]])] = &[
     ("crates/par", &[DETERMINISM, PANIC]),
     ("crates/obs", &[DETERMINISM, PANIC]),
     ("crates/profile", &[DETERMINISM, PANIC]),
-    ("crates/sweep", &[DETERMINISM, PANIC]),
     ("", &[DETERMINISM, PANIC]),
 ];
 
